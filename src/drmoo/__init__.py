@@ -19,9 +19,8 @@ from .config import (
 from .dual import (
     Conjugate,
     DualContext,
-    DualVector,
     ObjectiveJacobian,
-    ParamVector,
+    batch_oracle,
     conjugate_deriv,
     conjugate_value,
     dual_value,
@@ -75,17 +74,16 @@ __all__ = [
     "DoubleClipConfig",
     "DoubleLoopConfig",
     "DualContext",
-    "DualVector",
     "ExperimentConfig",
     "FrontierPoint",
     "LinearSpec",
     "MultiTaskProblem",
     "ObjectiveJacobian",
-    "ParamVector",
     "RunTrace",
     "SolverDivergence",
     "ToySpec",
     "balanced_grad_norm",
+    "batch_oracle",
     "conjugate_deriv",
     "conjugate_value",
     "dual_value",

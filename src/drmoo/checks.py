@@ -293,7 +293,7 @@ def check_stationarity_chain(trials=100) -> CheckResult:
         theta = rng.normal(0, 0.5, problem.dimension)
         eta = rng.normal(0, 1.0, m)
         w = simplex.project_simplex(rng.normal(0, 1, m))
-        evals = problem.full_eval(theta)
+        evals = [problem.per_sample(i, theta) for i in range(m)]
         # G must dominate the per-sample gradients at this theta for the
         # surrogate to be a certified upper bound
         g_here = _local_g(evals)
@@ -329,7 +329,7 @@ def check_gradient_coupling(trials=200) -> CheckResult:
     for _ in range(trials):
         theta = rng.normal(0, 0.4, problem.dimension)
         eta = rng.normal(0, 0.5, m)
-        evals = problem.full_eval(theta)
+        evals = [problem.per_sample(i, theta) for i in range(m)]
         g_here = _local_g(evals)
         ctx = dual.DualContext(lam=1.0, lipschitz_g=g_here, num_objectives=m)
         jac = dual.rescaled_grads(ctx, evals, theta, eta)
@@ -355,7 +355,8 @@ def check_bias_bound(trials=100) -> CheckResult:
         eta = rng.normal(0, 1.0, m)
         g_here = problems.estimate_lipschitz(problem, theta)
         _, phi_jac = dual.phi_oracle(ctx, problem, theta)
-        for i, (losses, grads) in enumerate(problem.full_eval(theta)):
+        for i in range(m):
+            losses, grads = problem.per_sample(i, theta)
             bias = float(np.linalg.norm(
                 dual.grad_theta(ctx, grads, losses, eta[i]) - phi_jac[:, i]))
             slack = min(slack, g_here * abs(dual.grad_eta(ctx, losses, eta[i])) - bias)

@@ -10,13 +10,13 @@ Subcommands:
                       suite itself catches an injected gradient bug
     plot <metric> <out.svg> <traces...>   log-scale comparison plot
 
-Exit codes: 0 success, 1 config or I/O error, 2 invariant check failure.
+Exit codes: 0 success, 1 config or I/O error or a run that raised,
+2 invariant check failure.
 """
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -102,73 +102,56 @@ def _make_context(cfg, problem) -> DualContext:
 def run_experiment(runs, echo=print) -> int:
     """Execute parsed run blocks and write their artifacts.
 
-    One trace CSV per (run, seed) under the block's output_dir, then one
-    summary.csv per output_dir aggregating the first/last-20-iteration
-    balanced-gradient windows across seeds. Solver divergence is recorded in
-    the summary status column (its partial trace still gets written) and does
-    not fail the invocation; only config and I/O trouble does, via raised
-    ConfigError/OSError. Returns the process exit status, 0.
+    Jobs, one per (run, seed), run one after another in config order, each
+    writing one trace CSV under the block's output_dir; then one summary.csv
+    per output_dir aggregates the first/last-20-iteration balanced-gradient
+    windows across seeds. Solver divergence is recorded in the summary status
+    column (its partial trace still gets written) and does not fail the
+    invocation. Any other exception in a job goes to stderr with its
+    traceback and is recorded as error:<type>, and the other jobs still run.
+    Config and I/O trouble raises ConfigError/OSError. Returns the process
+    exit status: 0, or 1 when a job raised.
     """
-    jobs = []
-    for cfg in runs:
-        problem = _build_problem(cfg)
-        ctx = _make_context(cfg, problem)
-        outdir = Path(cfg.output_dir)
-        for seed in cfg.seeds:
-            path = outdir / f"{cfg.name}_seed{seed}.csv"
-            jobs.append((cfg, problem, ctx, seed, path))
-
-    def work(job):
-        cfg, problem, ctx, seed, path = job
-        solver_cfg = build_solver_config(cfg, seed)
-        try:
-            tr = _SOLVER_FNS[cfg.solver](solver_cfg, problem, ctx)
-            status = "ok"
-        except SolverDivergence as exc:
-            tr = exc.partial_trace
-            status = f"diverged@{exc.iteration}"
-        write_trace(tr, path)
-        return status, tr
-
-    with ThreadPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 2)) as pool:
-        outcomes = list(pool.map(work, jobs))
-
-    per_run = {}
-    for (cfg, _, _, seed, path), (status, tr) in zip(jobs, outcomes):
-        echo(f"{path}  [{status}]")
-        per_run.setdefault(cfg.name, (cfg, []))[1].append((seed, status, tr))
+    problems = [_build_problem(cfg) for cfg in runs]  # all built before any job runs
+    blocks = [(cfg, p, _make_context(cfg, p)) for cfg, p in zip(runs, problems)]
 
     by_dir = {}
-    for cfg, results in per_run.values():
+    exit_status = 0
+    for cfg, problem, ctx in blocks:
         inits, finals, samples, bad = [], [], [0], []
-        for seed, status, tr in results:
+        for seed in cfg.seeds:
+            path = Path(cfg.output_dir) / f"{cfg.name}_seed{seed}.csv"
+            tr = None
+            try:
+                tr = _SOLVER_FNS[cfg.solver](build_solver_config(cfg, seed), problem, ctx)
+                status = "ok"
+            except SolverDivergence as exc:
+                tr = exc.partial_trace
+                status = f"diverged@{exc.iteration}"
+            except Exception as exc:  # one failed job must not lose the others
+                traceback.print_exc(file=sys.stderr)
+                status = f"error:{type(exc).__name__}"
+                exit_status = 1
             if status != "ok":
                 bad.append(f"seed{seed}:{status}")
-            if len(tr):
-                init, final = window_means(tr.balanced_grad)
-                inits.append(init)
-                finals.append(final)
-                samples.append(int(tr.samples[-1]))
-        row = ",".join(
-            [
-                cfg.name,
-                cfg.problem,
-                cfg.solver,
-                " ".join(str(s) for s in cfg.seeds),
-                ";".join(bad) if bad else "ok",
-                _fmt(np.mean(inits)) if inits else "nan",
-                _fmt(np.mean(finals)) if finals else "nan",
-                _fmt(np.std(finals)) if finals else "nan",
-                str(max(samples)),
-            ]
-        )
-        by_dir.setdefault(cfg.output_dir, []).append(row)
+            if tr is not None:
+                write_trace(tr, path)
+                if len(tr):
+                    init, final = window_means(tr.balanced_grad)
+                    inits.append(init)
+                    finals.append(final)
+                    samples.append(int(tr.samples[-1]))
+            echo(f"{path}  [{status}]")
+        stats = (np.mean(inits), np.mean(finals), np.std(finals)) if finals else (np.nan,) * 3
+        row = [cfg.name, cfg.problem, cfg.solver, " ".join(str(s) for s in cfg.seeds),
+               ";".join(bad) or "ok", *map(_fmt, stats), str(max(samples))]
+        by_dir.setdefault(cfg.output_dir, []).append(",".join(row))
 
     for outdir, rows in by_dir.items():
         spath = Path(outdir) / "summary.csv"
         spath.write_text(SUMMARY_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
         echo(f"{spath}  [{len(rows)} run(s)]")
-    return 0
+    return exit_status
 
 
 def cmd_run(args) -> int:

@@ -12,9 +12,9 @@ where f* is the convex conjugate of the chi-square divergence base function,
 Minimizing L over eta recovers the worst-case risk phi(theta) of that
 objective, so the m-objective problem keeps one dual scalar per objective.
 This module provides the conjugate, the dual value, its stochastic gradients
-in theta and eta, the gradients of the rescaled objective
-Lhat(theta, eta) = L(theta, G*sqrt(m)*eta), and exact full-batch oracles
-(dual minimizer, robust values and gradients) used by tests and metrics.
+in theta and eta (fused in batch_oracle), the gradients of the rescaled
+objective Lhat(theta, eta) = L(theta, G*sqrt(m)*eta), and exact full-batch
+oracles (dual minimizer, robust values and gradients) for tests and metrics.
 
 All expectations are plug-in empirical means over the supplied batch; the
 caller owns sampling and randomness.
@@ -27,11 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 CHI_SQUARE = "chi_square"
-
-# Domain vocabulary: model parameters theta (length n) and the per-objective
-# dual scalars eta (length m) are plain float arrays throughout.
-ParamVector = np.ndarray
-DualVector = np.ndarray
 
 
 class Conjugate:
@@ -152,6 +147,20 @@ def grad_theta(ctx: DualContext, per_sample_grads, losses, eta_i: float) -> np.n
     return (wgt[:, None] * grads).mean(axis=0)
 
 
+def batch_oracle(ctx: DualContext, losses, slopes, rows, eta_i: float):
+    """(dual_value, grad_theta, grad_eta) of one objective on one batch.
+
+    The batch is MultiTaskProblem.evaluate's losses l, slopes l' and rows X
+    (sample j's loss gradient is l'_j x_j). The conjugate weights w are formed
+    once, and the theta-gradient is X^T (w o l') / B without (B, n) gradients.
+    """
+    b = losses.shape[0]
+    u = np.maximum((losses - eta_i) / ctx.lam + 2.0, 0.0)  # (t + 2)_+ = 2 w
+    value = ctx.lam * (0.25 * float(np.dot(u, u)) / b - 1.0) + eta_i
+    theta_grad = np.dot(u * slopes, rows) * (0.5 / b)
+    return value, theta_grad, 1.0 - 0.5 * float(u.sum()) / b
+
+
 def rescaled_grads(ctx: DualContext, batches, theta, eta) -> ObjectiveJacobian:
     """Gradients of the rescaled objective Lhat(theta, eta) = L(theta, s*eta),
     s = G*sqrt(m).
@@ -233,17 +242,17 @@ def exact_dual_min(ctx: DualContext, losses, tol: float = 1e-10) -> float:
 def phi_oracle(ctx: DualContext, problem, theta):
     """Exact robust values phi^i(theta) and their gradients, full batch.
 
-    problem must expose full_eval(theta) -> [(losses, per_sample_grads)] per
-    objective. For each objective the dual scalar is minimized out exactly,
-    the value is the dual objective at that minimizer, and the gradient is
-    grad_theta there (the eta-gradient vanishes at the minimizer, so this is
-    the exact gradient of phi). Intended for tests and metrics, not for the
-    stochastic solvers.
+    problem must expose per_sample(i, theta) -> (losses, per_sample_grads)
+    over objective i's full dataset. For each objective the dual scalar is
+    minimized out exactly, the value is the dual objective at that minimizer,
+    and the gradient is grad_theta there (the eta-gradient vanishes at the
+    minimizer, so this is the exact gradient of phi). Intended for tests and
+    metrics, not for the stochastic solvers.
 
     Returns (values, jacobian): an m-vector and an (n, m) matrix.
     """
     theta = np.asarray(theta, dtype=float)
-    evals = problem.full_eval(theta)
+    evals = [problem.per_sample(i, theta) for i in range(problem.num_objectives)]
     if len(evals) != ctx.num_objectives:
         raise ValueError(
             f"problem has {len(evals)} objectives, context expects {ctx.num_objectives}"

@@ -118,22 +118,41 @@ class MultiTaskProblem:
             losses = losses + off
         return losses, grads
 
-    def sample_batch(self, i, theta, batch_size, rng, full_batch=False):
-        """Draw a batch uniformly with replacement and evaluate it at theta.
+    def evaluate(self, i, theta, idx=None):
+        """(losses, slopes, rows) of objective i at theta; rows as in per_sample,
+        the stored feature array itself (no copy) when idx is None. Sample j's
+        loss gradient is slopes[j] * rows[j]; offsets shift losses, never slopes.
+        per_sample is the independent reference.
+        """
+        x, y, off = self.features[i], self.labels[i], self.offsets[i]
+        if idx is not None:
+            x, y = x.take(idx, axis=0), y[idx]
+            off = None if off is None else off[idx]
+        z = x @ np.asarray(theta, dtype=float)
+        if self.loss_kind == LOSS_SQUARED:
+            r = z - y
+            losses, slopes = r * r, 2.0 * r
+        else:
+            losses, slopes = np.logaddexp(0.0, z) - y * z, expit(z) - y
+        if off is not None:
+            losses = losses + off
+        return losses, slopes, x
 
-        full_batch=True ignores batch_size and rng and evaluates the whole
-        dataset in order (deterministic full pass).
+    def sample_batch(self, i, theta, batch_size, rng, full_batch=False):
+        """Draw a batch uniformly with replacement and evaluate it at theta,
+        as evaluate's (losses, slopes, rows); full_batch=True ignores
+        batch_size and rng and evaluates the whole dataset in order
+        (deterministic full pass).
         """
         if full_batch:
-            return self.per_sample(i, theta)
+            return self.evaluate(i, theta)
         if batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {batch_size}")
-        idx = rng.integers(0, self.size(i), size=batch_size)
-        return self.per_sample(i, theta, idx)
+        return self.evaluate(i, theta, rng.integers(0, self.size(i), size=batch_size))
 
     def full_eval(self, theta):
-        """[(losses, grads)] over the full dataset, one pair per objective."""
-        return [self.per_sample(i, theta) for i in range(self.num_objectives)]
+        """[(losses, slopes, rows)] over the full dataset, one per objective."""
+        return [self.evaluate(i, theta) for i in range(self.num_objectives)]
 
 
 def estimate_lipschitz(problem: MultiTaskProblem, theta=None) -> float:

@@ -16,9 +16,8 @@ Four iterations over a MultiTaskProblem, all emitting a RunTrace:
 
 Determinism: every random draw comes from a stream keyed by
 (seed, role, objective) through SeedSequence spawn keys, so identical
-(config, problem, seed) reproduce bit-identical traces regardless of
-scheduling. A single run is strictly sequential; concurrent runs share no
-state.
+(config, problem, seed) reproduce bit-identical traces. A run is strictly
+sequential and keeps its state in local variables.
 """
 
 import time
@@ -26,8 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualContext, ObjectiveJacobian, conjugate_deriv, dual_value, grad_eta, grad_theta
-from .metrics import balanced_grad_norm, surrogate_stationarity
+from .dual import DualContext, ObjectiveJacobian, batch_oracle, grad_eta
+# benchmarks/spans.py wraps these names in this namespace
+from .dual import conjugate_deriv, dual_value, grad_theta  # noqa: F401
+from .metrics import surrogate_stationarity
 from .simplex import project_simplex, uniform_preference
 
 # stream roles of the seed-splitting scheme
@@ -214,14 +215,32 @@ def _check_finite(t, builder, *arrays):
             raise SolverDivergence(t, builder.build())
 
 
+def _draw(problem, theta, size, streams):
+    """One fresh batch per objective at theta, objective i from streams[i]."""
+    return [problem.sample_batch(i, theta, size, rng) for i, rng in enumerate(streams)]
+
+
+def _oracle(ctx, batches, etas):
+    """batch_oracle on batches[i] at etas[i] for every objective: dual values
+    (m,), theta-gradient columns (n, m) and eta-gradients (m,)."""
+    values, cols, egr = zip(*(batch_oracle(ctx, *b, e) for b, e in zip(batches, etas)))
+    return np.array(values), np.array(cols).T, np.array(egr)
+
+
+def inner_eta_descent(losses, eta, gamma, lam):
+    """Single-sample SGD eta <- eta - gamma*grad_eta, one loss (a float) per
+    step, in Python floats: the same arithmetic as conjugate_deriv without
+    its per-call cost. Returns the iterates entering each step and the last."""
+    traj = []
+    for loss in losses:
+        traj.append(eta)
+        eta -= gamma * (1.0 - 0.5 * max((loss - eta) / lam + 2.0, 0.0))
+    return traj, eta
+
+
 def _full_surrogate(problem, ctx, theta, eta_eff, w) -> float:
     """Full-batch stationarity surrogate at (theta, eta_eff) and w."""
-    m = problem.num_objectives
-    cols = np.empty((problem.dimension, m))
-    egr = np.empty(m)
-    for i, (losses, grads) in enumerate(problem.full_eval(theta)):
-        cols[:, i] = grad_theta(ctx, grads, losses, eta_eff[i])
-        egr[i] = grad_eta(ctx, losses, eta_eff[i])
+    _, cols, egr = _oracle(ctx, problem.full_eval(theta), eta_eff)
     return surrogate_stationarity(ObjectiveJacobian(cols, egr), w, ctx.lipschitz_g)
 
 
@@ -262,35 +281,22 @@ def run_double_loop(cfg: DoubleLoopConfig, problem, ctx: DualContext) -> RunTrac
     samples = 0
     surrogate = np.nan
     for t in range(cfg.T):
-        # (a) inner dual descent, one fresh sample per step per objective
+        # (a) inner dual descent, one fresh sample per step per objective; the
+        # final iterate warm-starts the next outer iteration
         traj = np.empty((m, cfg.D))
         for i in range(m):
             idx = inner[i].integers(0, problem.size(i), size=cfg.D)
-            lvec = problem.per_sample(i, theta, idx)[0]
-            e = eta[i]
-            for d in range(cfg.D):
-                traj[i, d] = e
-                v = 1.0 - conjugate_deriv(ctx.conjugate, (lvec[d] - e) / ctx.lam)
-                e -= cfg.gamma * v
-            eta[i] = e  # warm start for the next outer iteration
+            losses = problem.evaluate(i, theta, idx)[0].tolist()
+            traj[i], eta[i] = inner_eta_descent(losses, float(eta[i]), cfg.gamma, ctx.lam)
         samples += m * cfg.D
 
         # (b) trajectory indices, one triple shared across objectives
         d_y, d_bar, d_til = index_rng.integers(0, cfg.D, size=3)
 
         # (c) three independent batch estimators
-        y_mat = np.empty((n, m))
-        ybar_mat = np.empty((n, m))
-        ytil_mat = np.empty((n, m))
-        loss_log = np.empty(m)
-        for i in range(m):
-            li, gi = problem.sample_batch(i, theta, cfg.B, ybat[i])
-            y_mat[:, i] = grad_theta(ctx, gi, li, traj[i, d_y])
-            loss_log[i] = dual_value(ctx, li, traj[i, d_y])
-            li, gi = problem.sample_batch(i, theta, cfg.B, ybarbat[i])
-            ybar_mat[:, i] = grad_theta(ctx, gi, li, traj[i, d_bar])
-            li, gi = problem.sample_batch(i, theta, cfg.B, ytilbat[i])
-            ytil_mat[:, i] = grad_theta(ctx, gi, li, traj[i, d_til])
+        loss_log, y_mat, _ = _oracle(ctx, _draw(problem, theta, cfg.B, ybat), traj[:, d_y])
+        _, ybar_mat, _ = _oracle(ctx, _draw(problem, theta, cfg.B, ybarbat), traj[:, d_bar])
+        _, ytil_mat, _ = _oracle(ctx, _draw(problem, theta, cfg.B, ytilbat), traj[:, d_til])
         samples += 3 * cfg.B * m
 
         direction = y_mat @ w
@@ -343,11 +349,11 @@ def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> RunTrac
     samples = 0
     surrogate = np.nan
     for t in range(cfg.T):
-        # eta block at eta_t
-        z_vec = np.empty(m)
-        for i in range(m):
-            li, _ = problem.sample_batch(i, theta, cfg.N2, zbat[i])
-            z_vec[i] = scale * grad_eta(ctx, li, scale * eta[i])
+        # eta block at eta_t: only the losses of these batches are read
+        z_vec = scale * np.array([
+            grad_eta(ctx, batch[0], scale * eta_i)
+            for batch, eta_i in zip(_draw(problem, theta, cfg.N2, zbat), eta)
+        ])
         zw = z_vec * w
         zw_norm = float(np.linalg.norm(zw))
         mu = cfg.f1 if zw_norm == 0.0 else min(cfg.f1, cfg.f2 / zw_norm)
@@ -355,12 +361,7 @@ def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> RunTrac
         samples += m * cfg.N2
 
         # theta block at the fresh dual iterate
-        x_mat = np.empty((n, m))
-        loss_log = np.empty(m)
-        for i in range(m):
-            li, gi = problem.sample_batch(i, theta, cfg.N1, xbat[i])
-            x_mat[:, i] = grad_theta(ctx, gi, li, scale * eta_next[i])
-            loss_log[i] = dual_value(ctx, li, scale * eta_next[i])
+        loss_log, x_mat, _ = _oracle(ctx, _draw(problem, theta, cfg.N1, xbat), scale * eta_next)
         xw = x_mat @ w
         xw_norm = float(np.linalg.norm(xw))
         alpha = cfg.c1 if xw_norm == 0.0 else min(cfg.c1, cfg.c2 / xw_norm)
@@ -399,22 +400,10 @@ def _run_joint_baseline(cfg: BaselineConfig, problem, ctx, double_sampling: bool
     samples = 0
     surrogate = np.nan
     for t in range(cfg.T):
-        ja = np.empty((n, m))
-        ga = np.empty(m)
-        loss_log = np.empty(m)
-        for i in range(m):
-            li, gi = problem.sample_batch(i, theta, cfg.B, abat[i])
-            ja[:, i] = grad_theta(ctx, gi, li, eta[i])
-            ga[i] = grad_eta(ctx, li, eta[i])
-            loss_log[i] = dual_value(ctx, li, eta[i])
+        loss_log, ja, ga = _oracle(ctx, _draw(problem, theta, cfg.B, abat), eta)
         samples += m * cfg.B
         if double_sampling:
-            jb = np.empty((n, m))
-            gb = np.empty(m)
-            for i in range(m):
-                li, gi = problem.sample_batch(i, theta, cfg.B, bbat[i])
-                jb[:, i] = grad_theta(ctx, gi, li, eta[i])
-                gb[i] = grad_eta(ctx, li, eta[i])
+            _, jb, gb = _oracle(ctx, _draw(problem, theta, cfg.B, bbat), eta)
             samples += m * cfg.B
         else:
             jb, gb = ja, ga

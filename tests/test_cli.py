@@ -86,6 +86,27 @@ def test_run_records_divergence_without_failing(workdir, capsys):
     assert len(read_trace(workdir / "runs" / "blowup_seed0.csv")["iter"]) >= 1
 
 
+def test_run_keeps_other_jobs_when_one_raises(workdir, capsys, monkeypatch):
+    def broken(cfg, problem, ctx):
+        raise RuntimeError("planted failure")
+
+    monkeypatch.setitem(cli._SOLVER_FNS, "mgda", broken)
+    _write(
+        workdir / "exp.cfg",
+        TOY_CFG + "[run.bad]\nproblem = toy\nsolver = mgda\ntoy_draws = 40\nT = 6\nB = 8\n",
+    )
+    assert cli.main(["run", "exp.cfg"]) == 1
+    captured = capsys.readouterr()
+    assert "planted failure" in captured.err and "Traceback" in captured.err
+    assert "bad_seed0.csv  [error:RuntimeError]" in captured.out
+    for seed in (0, 1):
+        assert len(read_trace(workdir / "out" / f"t1_seed{seed}.csv")["iter"]) == 6
+    assert not (workdir / "out" / "bad_seed0.csv").exists()
+    rows = (workdir / "out" / "summary.csv").read_text().splitlines()[1:]
+    assert rows[0].split(",")[:5] == ["t1", "toy", "double_clip", "0 1", "ok"]
+    assert rows[1].split(",")[:5] == ["bad", "toy", "mgda", "0", "seed0:error:RuntimeError"]
+
+
 def test_run_unknown_config_or_preset(workdir, capsys):
     assert cli.main(["run", "spaghetti"]) == 1
     err = capsys.readouterr().err

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from drmoo.dual import (
     Conjugate,
     DualContext,
+    batch_oracle,
     conjugate_deriv,
     conjugate_value,
     dual_value,
@@ -19,7 +20,16 @@ from drmoo.dual import (
     phi_oracle,
     rescaled_grads,
 )
-from drmoo.problems import LOSS_SQUARED, MultiTaskProblem
+from drmoo.problems import (
+    LOSS_SQUARED,
+    LinearSpec,
+    MultiTaskProblem,
+    ToySpec,
+    gen_linear,
+    load_wine_tasks,
+    synthesize_wine_csv,
+    toy_problem,
+)
 
 from conftest import rng
 
@@ -235,7 +245,7 @@ def test_rescaled_chain_rule_against_fd(small_linear):
     g = rng(45)
     theta = g.normal(0, 0.3, small_linear.dimension)
     eta = g.normal(0, 0.2, 3)
-    batches = small_linear.full_eval(theta)
+    batches = [small_linear.per_sample(i, theta) for i in range(3)]
     jac = rescaled_grads(ctx, batches, theta, eta)
     h = 1e-6
     for i in range(3):
@@ -243,6 +253,66 @@ def test_rescaled_chain_rule_against_fd(small_linear):
         up = dual_value(ctx, losses, ctx.eta_scale * (eta[i] + h))
         dn = dual_value(ctx, losses, ctx.eta_scale * (eta[i] - h))
         assert jac.eta_grads[i] == pytest.approx((up - dn) / (2 * h), rel=1e-5)
+
+
+# --- fused batch oracle ------------------------------------------------------
+
+# Fixed before batch_oracle was written: it sums in another order than the
+# reference functions, so agreement is to a few ulps of the reference norm.
+ORACLE_RTOL = 1e-12
+
+
+def assert_matches_reference(got, ref):
+    ref = np.asarray(ref, dtype=float)
+    np.testing.assert_allclose(
+        got, ref, rtol=ORACLE_RTOL, atol=ORACLE_RTOL * float(np.linalg.norm(ref))
+    )
+
+
+@pytest.fixture(scope="module")
+def oracle_problems(tmp_path_factory):
+    wine_csv = synthesize_wine_csv(tmp_path_factory.mktemp("wine") / "w.csv", rows=80)
+    return {
+        "squared": gen_linear(LinearSpec(dimension=6, samples=200, seed=7)),
+        "logistic": load_wine_tasks(wine_csv),
+        # per-sample offsets shift the losses but not the slopes
+        "toy": toy_problem(ToySpec(), num_draws=50, seed=3),
+    }
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from(["squared", "logistic", "toy"]),
+    lam=st.sampled_from([0.5, 1.0, 2.0]),
+    clamp_at=st.floats(-0.25, 1.25),
+    data=st.data(),
+)
+def test_batch_oracle_matches_reference(oracle_problems, kind, lam, clamp_at, data):
+    problem = oracle_problems[kind]
+    ctx = DualContext(lam=lam, lipschitz_g=1.0, num_objectives=problem.num_objectives)
+    i = data.draw(st.integers(0, problem.num_objectives - 1), label="objective")
+    theta = np.array(data.draw(
+        st.lists(st.floats(-2.0, 2.0), min_size=problem.dimension, max_size=problem.dimension),
+        label="theta",
+    ))
+    if data.draw(st.booleans(), label="full batch"):
+        idx = None
+    else:  # a few distinct rows, each possibly drawn many times
+        rows = st.integers(0, problem.size(i) - 1)
+        pool = data.draw(st.lists(rows, min_size=1, max_size=6), label="rows")
+        idx = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=64)))
+    losses, grads = problem.per_sample(i, theta, idx)
+    # (t + 2)_+ clamps sample j once eta >= l_j + 2*lambda: between the
+    # smallest and largest of those the clamp holds for part of the batch
+    lo, hi = losses.min() + 2 * lam, losses.max() + 2 * lam
+    eta = float(lo + clamp_at * (hi - lo))
+
+    batch = problem.evaluate(i, theta, idx)
+    assert np.array_equal(batch[0], losses)
+    value, theta_grad, eta_grad = batch_oracle(ctx, *batch, eta)
+    assert_matches_reference(value, dual_value(ctx, losses, eta))
+    assert_matches_reference(theta_grad, grad_theta(ctx, grads, losses, eta))
+    assert_matches_reference(eta_grad, grad_eta(ctx, losses, eta))
 
 
 # --- exact dual minimizer ----------------------------------------------------

@@ -64,7 +64,7 @@ def test_surrogate_equals_balanced_at_exact_minimizer(small_linear):
 
     ctx = DualContext(lam=1.0, lipschitz_g=5.0, num_objectives=3)
     theta = rng(91).normal(0, 0.3, small_linear.dimension)
-    evals = small_linear.full_eval(theta)
+    evals = [small_linear.per_sample(i, theta) for i in range(3)]
     cols, egr = [], []
     for losses, grads in evals:
         # tol tight enough that G * |grad_eta| stays below the comparison tol

@@ -109,10 +109,11 @@ def test_offsets_shift_losses_not_gradients():
 
 def test_sample_batch_with_replacement_and_full_batch(small_linear):
     theta = np.zeros(small_linear.dimension)
-    losses, grads = small_linear.sample_batch(0, theta, 0, None, full_batch=True)
+    losses, slopes, rows = small_linear.sample_batch(0, theta, 0, None, full_batch=True)
     ref_losses, ref_grads = small_linear.per_sample(0, theta)
     assert np.array_equal(losses, ref_losses)
-    assert np.array_equal(grads, ref_grads)
+    assert rows is small_linear.features[0]  # the full batch is not copied
+    assert np.array_equal(slopes[:, None] * rows, ref_grads)
 
     with pytest.raises(ValueError, match="batch size"):
         small_linear.sample_batch(0, theta, 0, rng(0))

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drmoo.dual import DualContext, grad_eta
+from drmoo.dual import DualContext, ObjectiveJacobian, conjugate_deriv, grad_eta, grad_theta
+from drmoo.metrics import surrogate_stationarity
 from drmoo.problems import (
     LOSS_SQUARED,
     LinearSpec,
@@ -16,6 +19,8 @@ from drmoo.solvers import (
     DoubleClipConfig,
     DoubleLoopConfig,
     SolverDivergence,
+    _full_surrogate,
+    inner_eta_descent,
     make_stream,
     run_double_clip,
     run_double_loop,
@@ -267,6 +272,63 @@ def test_full_batch_eta_descent_converges(small_linear):
         eta -= gamma * g
     assert last <= 1e-3
     assert step < 500
+
+
+def _scalar_inner_loop(ctx, lvec, eta, gamma):
+    """The per-step numpy-scalar loop inner_eta_descent replaced; its reference."""
+    traj = np.empty(lvec.shape[0])
+    e = eta
+    for d in range(lvec.shape[0]):
+        traj[d] = e
+        v = 1.0 - conjugate_deriv(ctx.conjugate, (lvec[d] - e) / ctx.lam)
+        e -= gamma * v
+    return traj, e
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    batches=st.lists(
+        st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=30), min_size=1, max_size=3
+    ),
+    eta=st.floats(-20.0, 20.0),
+    lam=st.floats(0.05, 10.0),
+    gamma=st.floats(1e-4, 2.0),
+)
+def test_inner_eta_descent_matches_scalar_loop(batches, eta, lam, gamma):
+    # same arithmetic, so equality is exact, including across warm starts
+    ctx = DualContext(lam=lam, lipschitz_g=1.0, num_objectives=1)
+    ref_eta, got_eta = np.zeros(1), np.zeros(1)
+    ref_eta[0] = got_eta[0] = eta
+    for losses in batches:
+        lvec = np.array(losses)
+        ref_traj, ref_eta[0] = _scalar_inner_loop(ctx, lvec, ref_eta[0], gamma)
+        got_traj, got_eta[0] = inner_eta_descent(lvec.tolist(), float(got_eta[0]), gamma, lam)
+        assert np.array_equal(np.array(got_traj), ref_traj)
+        assert np.array_equal(got_eta, ref_eta)
+
+
+# --- full-batch stationarity surrogate ---------------------------------------
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    theta=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    eta=st.lists(st.floats(-5.0, 30.0), min_size=3, max_size=3),
+    w=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda v: sum(v) > 0),
+)
+def test_full_surrogate_matches_reference(theta, eta, w):
+    problem = _problem()
+    ctx = DualContext(lam=1.0, lipschitz_g=3.0, num_objectives=3)
+    theta, eta = np.array(theta), np.array(eta)
+    w = np.array(w) / sum(w)
+    cols, egr = [], []
+    for i in range(3):
+        losses, grads = problem.per_sample(i, theta)
+        cols.append(grad_theta(ctx, grads, losses, eta[i]))
+        egr.append(grad_eta(ctx, losses, eta[i]))
+    ref = surrogate_stationarity(ObjectiveJacobian(np.column_stack(cols), np.array(egr)), w, 3.0)
+    got = _full_surrogate(problem, ctx, theta, eta, w)
+    assert got == pytest.approx(ref, rel=1e-12, abs=1e-12 * abs(ref))
 
 
 # --- divergence --------------------------------------------------------------
