@@ -5,8 +5,9 @@ For one batch of losses the robust surrogate is
 
     L(eta) = lambda * mean_j f*((loss_j - eta) / lambda) + eta
 
-with f* the chi-square conjugate. It is convex and piecewise smooth in eta;
-the minimizer is found by bisection on the monotone derivative. Sweeping
+with f* the chi-square conjugate. It is convex and piecewise smooth in eta,
+and its derivative is piecewise linear, so the minimizer has a closed form
+(sort the losses, then an active-set test on their running sums). Sweeping
 lambda shows the two limits worth knowing:
 
   - lambda -> 0:   the value climbs to the worst single loss (adversary

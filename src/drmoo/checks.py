@@ -97,6 +97,51 @@ def pareto_brute_force(points):
     return keep
 
 
+def dual_min_bisect(ctx, losses, tol=1e-10):
+    """The minimizer eta* of dual_value over eta, to |grad_eta| <= tol, by
+    bisection: the independent oracle for the closed-form exact_dual_min.
+
+    grad_eta is nondecreasing in eta, so a sign bracket plus bisection is
+    exact. The initial bracket [min(l) - 2*lambda, max(l) + 2*lambda] already
+    brackets the root for the chi-square conjugate (grad <= -1 at the left
+    end, grad = +1 at the right end); it is doubled defensively if either
+    sign is wrong.
+    """
+    losses = dual._as_batch(losses)
+    lo = float(losses.min()) - 2.0 * ctx.lam
+    hi = float(losses.max()) + 2.0 * ctx.lam
+    width = hi - lo
+    for _ in range(60):
+        if dual.grad_eta(ctx, losses, lo) <= 0.0:
+            break
+        lo -= width
+        width *= 2.0
+    else:
+        raise RuntimeError("dual minimizer bracket failed")
+    width = hi - lo
+    for _ in range(60):
+        if dual.grad_eta(ctx, losses, hi) >= 0.0:
+            break
+        hi += width
+        width *= 2.0
+    else:
+        raise RuntimeError("dual minimizer bracket failed")
+
+    mid = 0.5 * (lo + hi)
+    for _ in range(500):
+        g = dual.grad_eta(ctx, losses, mid)
+        if abs(g) <= tol:
+            return mid
+        if g < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    if abs(dual.grad_eta(ctx, losses, mid)) <= tol:
+        return mid
+    raise RuntimeError("dual minimizer bisection did not converge")
+
+
 def check_conjugate() -> CheckResult:
     c = dual.Conjugate()
     spots = [
@@ -145,21 +190,26 @@ def check_simplex_idempotent(trials=200) -> CheckResult:
 
 def check_dual_minimizer(trials=50) -> CheckResult:
     rng = _rng(14)
-    worst_g, worst_gap = 0.0, np.inf
+    worst_g, worst_gap, worst_dev = 0.0, np.inf, 0.0
     for _ in range(trials):
         lam = float(rng.choice([0.5, 1.0, 2.0]))
         ctx = dual.DualContext(lam=lam, lipschitz_g=1.0, num_objectives=1)
         losses = rng.normal(0, 3, int(rng.integers(1, 51)))
         eta_star = dual.exact_dual_min(ctx, losses)
+        # grad_eta's slope through the root is >= 1/(2*lam*B), so this tol puts
+        # the bisection point within 2*lam*B*tol <= 2e-10 of the root
+        eta_ref = dual_min_bisect(ctx, losses, tol=1e-12)
+        worst_dev = max(worst_dev, abs(eta_star - eta_ref) / (1.0 + abs(eta_star)))
         worst_g = max(worst_g, abs(dual.grad_eta(ctx, losses, eta_star)))
         v_star = dual.dual_value(ctx, losses, eta_star)
         probes = eta_star + rng.normal(0, 2, 100)
         gap = min(dual.dual_value(ctx, losses, p) for p in probes) - v_star
         worst_gap = min(worst_gap, gap)
-    ok = worst_g <= 1e-10 and worst_gap >= -1e-12
+    ok = worst_dev <= 1e-9 and worst_g <= 1e-10 and worst_gap >= -1e-12
     return CheckResult(
         "dual-minimizer-optimality", ok,
-        f"max |grad| {worst_g:.2e}, min probe gap {worst_gap:.2e}",
+        f"max rel dev from bisection {worst_dev:.2e}, max |grad| {worst_g:.2e}, "
+        f"min probe gap {worst_gap:.2e}",
     )
 
 

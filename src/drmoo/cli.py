@@ -49,7 +49,7 @@ from .solvers import (
     run_stochastic_mgda,
 )
 from .svg import emit_svg_plot, emit_svg_scatter
-from .trace import write_trace
+from .trace import atomic_open, write_trace
 
 _SOLVER_FNS = {
     "double_loop": run_double_loop,
@@ -149,7 +149,8 @@ def run_experiment(runs, echo=print) -> int:
 
     for outdir, rows in by_dir.items():
         spath = Path(outdir) / "summary.csv"
-        spath.write_text(SUMMARY_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with atomic_open(spath) as fh:
+            fh.write(SUMMARY_HEADER + "\n" + "\n".join(rows) + "\n")
         echo(f"{spath}  [{len(rows)} run(s)]")
     return exit_status
 
@@ -173,10 +174,9 @@ def cmd_gen_data(args) -> int:
     problem = gen_linear(LinearSpec(seed=args.seed))
     x = problem.features[0]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     header = [f"x{j + 1}" for j in range(x.shape[1])]
     header += [f"y{i + 1}" for i in range(problem.num_objectives)]
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(out) as fh:
         fh.write(",".join(header) + "\n")
         for r in range(x.shape[0]):
             row = [_fmt(v) for v in x[r]]
@@ -208,8 +208,7 @@ def cmd_pareto_toy(args) -> int:
         seed=args.seed,
     )
     out_csv = Path(args.out_csv)
-    out_csv.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_csv, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(out_csv) as fh:
         fh.write("frontier,theta,f1,f2\n")
         for tag, pts in (("nominal", nominal), ("robust", robust)):
             for p in pts:

@@ -14,7 +14,9 @@ objective, so the m-objective problem keeps one dual scalar per objective.
 This module provides the conjugate, the dual value, its stochastic gradients
 in theta and eta (fused in batch_oracle), the gradients of the rescaled
 objective Lhat(theta, eta) = L(theta, G*sqrt(m)*eta), and exact full-batch
-oracles (dual minimizer, robust values and gradients) for tests and metrics.
+oracles (the closed-form dual minimizer, robust values and gradients) for
+tests and metrics. Every function taking a loss batch rejects an empty,
+non-1-d or non-finite one, except the solvers' batch_oracle.
 
 All expectations are plug-in empirical means over the supplied batch; the
 caller owns sampling and randomness.
@@ -109,6 +111,10 @@ def _as_batch(losses) -> np.ndarray:
         raise ValueError(f"losses must be a 1-d batch, got shape {losses.shape}")
     if losses.size == 0:
         raise ValueError("empty batch")
+    finite = np.isfinite(losses)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise ValueError(f"non-finite loss at index {j}: {losses[j]}")
     return losses
 
 
@@ -122,8 +128,8 @@ def dual_value(ctx: DualContext, losses, eta_i: float) -> float:
 def grad_eta(ctx: DualContext, losses, eta_i: float) -> float:
     """d/d eta of dual_value: 1 - mean_j f*'((l_j - eta)/lambda).
 
-    Nondecreasing in eta because f*' is nondecreasing, which is what makes
-    bisection in exact_dual_min valid.
+    Nondecreasing and piecewise linear in eta because f*' is, which is what
+    gives exact_dual_min its closed form.
     """
     losses = _as_batch(losses)
     t = (losses - eta_i) / ctx.lam
@@ -195,48 +201,25 @@ def rescaled_grads(ctx: DualContext, batches, theta, eta) -> ObjectiveJacobian:
     return ObjectiveJacobian(cols, egrads)
 
 
-def exact_dual_min(ctx: DualContext, losses, tol: float = 1e-10) -> float:
-    """The minimizer eta* of dual_value over eta, to |grad_eta| <= tol.
+def exact_dual_min(ctx: DualContext, losses) -> float:
+    """The minimizer eta* of dual_value over eta, in closed form.
 
-    grad_eta is nondecreasing in eta, so a sign bracket plus bisection is
-    exact. The initial bracket [min(l) - 2*lambda, max(l) + 2*lambda] already
-    brackets the root for the chi-square conjugate (grad <= -1 at the left
-    end, grad = +1 at the right end); it is doubled defensively if either
-    sign is wrong.
+    grad_eta(eta) = 1 - sum_j (l_j - eta + 2*lambda)_+ / (2*lambda*B) is
+    piecewise linear and nondecreasing, so its root follows from the same
+    sort-threshold rule as the simplex projection (Duchi et al. 2008): with
+    the losses sorted descending as u and S_k = u_1 + ... + u_k, the root on
+    the active set {u_1..u_k} is eta_k = S_k/k + 2*lambda*(1 - B/k), and the
+    active set is the largest k with u_k > eta_k - 2*lambda (k = 1 always
+    qualifies). The sums are taken relative to u_1, which keeps the rounding
+    at the scale of the spread rather than of the losses and returns a
+    constant batch's constant exactly.
     """
-    losses = _as_batch(losses)
-    lo = float(losses.min()) - 2.0 * ctx.lam
-    hi = float(losses.max()) + 2.0 * ctx.lam
-    width = hi - lo
-    for _ in range(60):
-        if grad_eta(ctx, losses, lo) <= 0.0:
-            break
-        lo -= width
-        width *= 2.0
-    else:
-        raise RuntimeError("dual minimizer bracket failed")
-    width = hi - lo
-    for _ in range(60):
-        if grad_eta(ctx, losses, hi) >= 0.0:
-            break
-        hi += width
-        width *= 2.0
-    else:
-        raise RuntimeError("dual minimizer bracket failed")
-
-    mid = 0.5 * (lo + hi)
-    for _ in range(500):
-        g = grad_eta(ctx, losses, mid)
-        if abs(g) <= tol:
-            return mid
-        if g < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    if abs(grad_eta(ctx, losses, mid)) <= tol:
-        return mid
-    raise RuntimeError("dual minimizer bisection did not converge")
+    u = np.sort(_as_batch(losses))[::-1]
+    top = u[0]
+    k = np.arange(1, u.size + 1)
+    eta = np.cumsum(u - top) / k + 2.0 * ctx.lam * (1.0 - u.size / k)
+    active = np.flatnonzero(u - top > eta - 2.0 * ctx.lam)
+    return float(top + eta[active[-1]])
 
 
 def phi_oracle(ctx: DualContext, problem, theta):

@@ -52,8 +52,8 @@ class FrontierPoint:
     values: tuple
 
     def __post_init__(self):
-        if not all(np.isfinite(v) for v in self.values):
-            raise ValueError(f"non-finite objective values: {self.values}")
+        if not self.values or not all(np.isfinite(v) for v in self.values):
+            raise ValueError(f"missing or non-finite objective values: {self.values}")
 
 
 def pareto_filter(points):
@@ -61,7 +61,11 @@ def pareto_filter(points):
 
     q dominates p when q's values are <= p's in every coordinate and < in at
     least one. Exact duplicates are collapsed to their first occurrence
-    before filtering (ties never dominate each other).
+    before filtering (ties never dominate each other). The distinct values
+    are then walked in lexicographic order, which puts every dominator of a
+    point before it; a point is kept unless an already-kept point is <= it
+    everywhere, and by transitivity the kept points are the only dominators
+    that need checking.
     """
     points = list(points)
     if not points:
@@ -76,14 +80,15 @@ def pareto_filter(points):
             seen.add(p.values)
             uniq.append(p)
     vals = np.array([p.values for p in uniq])  # (k, m)
-    keep = []
-    for j, p in enumerate(uniq):
-        dominated = np.any(
-            np.all(vals <= vals[j], axis=1) & np.any(vals < vals[j], axis=1)
-        )
-        if not dominated:
-            keep.append(p)
-    return keep
+    front = np.empty_like(vals)  # values of the points kept so far
+    size = 0
+    keep = np.zeros(len(uniq), dtype=bool)
+    for j in np.lexsort(vals.T[::-1]):
+        if not np.all(front[:size] <= vals[j], axis=1).any():
+            front[size] = vals[j]
+            size += 1
+            keep[j] = True
+    return [p for p, k in zip(uniq, keep) if k]
 
 
 def robust_frontier(

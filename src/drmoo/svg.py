@@ -9,7 +9,7 @@ positive value so a polyline never leaves the canvas.
 import math
 from pathlib import Path
 
-from .trace import read_trace
+from .trace import atomic_open, read_trace
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 20, 44
@@ -95,8 +95,8 @@ def emit_svg_plot(trace_paths, metric: str, out_path) -> Path:
 
     parts.append("</svg>")
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    with atomic_open(out_path) as fh:
+        fh.write("\n".join(parts) + "\n")
     return out_path
 
 
@@ -142,6 +142,6 @@ def emit_svg_scatter(point_sets, labels, out_path, xlabel="f1", ylabel="f2") -> 
 
     parts.append("</svg>")
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    with atomic_open(out_path) as fh:
+        fh.write("\n".join(parts) + "\n")
     return out_path

@@ -3,8 +3,13 @@
 Stable schema: iter,samples,wall_ms,loss_1..loss_m,balanced_grad,
 surrogate_stat,w_1..w_m,eta_1..eta_m. Reals are written with 17 significant
 digits so a read-write round trip is exact in double precision.
+
+Every artifact the package writes goes through atomic_open, so a file on
+disk is either complete or absent.
 """
 
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +31,30 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_trace(trace: RunTrace, path) -> Path:
+@contextmanager
+def atomic_open(path):
+    """Open path for writing text through a temp file in the same directory.
+
+    The temp file replaces path only when the block exits normally; if the
+    block raises, the temp file is removed and path is left untouched.
+    Missing parent directories are created.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_trace(trace: RunTrace, path) -> Path:
+    path = Path(path)
     m = trace.num_objectives
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write(",".join(trace_header(m)) + "\n")
         for t in range(len(trace)):
             row = [str(int(trace.iterations[t])), str(int(trace.samples[t])), _fmt(trace.wall_ms[t])]

@@ -391,9 +391,9 @@ def test_criterion_10_pareto_and_toy_frontier():
         want = [p.values for p in pareto_brute_force(pts)]
         mismatches += got != want
     def same(nom, rob, tol):
-        # membership by theta, values to within tol: the std=0 robust value
-        # passes through a numeric dual minimization, so it reproduces the
-        # nominal constant only to rounding, not bitwise
+        # membership by theta, values to within tol: the closed-form dual
+        # minimizer gives a constant sample set back exactly, but the
+        # criterion asks only for agreement to rounding, not bitwise
         if [p.theta for p in nom] != [p.theta for p in rob]:
             return False
         return all(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drmoo.checks import dual_min_bisect
 from drmoo.dual import (
     Conjugate,
     DualContext,
@@ -105,6 +106,25 @@ def test_dual_value_rejects_bad_batches():
         dual_value(CTX1, [], 0.0)
     with pytest.raises(ValueError, match="1-d batch"):
         dual_value(CTX1, [[1.0, 2.0]], 0.0)
+
+
+@given(st.lists(finite_floats, min_size=1, max_size=20), st.data())
+def test_nonfinite_losses_rejected_with_index(losses, data):
+    positions = data.draw(
+        st.sets(st.integers(0, len(losses) - 1), min_size=1), label="positions"
+    )
+    for j in positions:
+        losses[j] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    pattern = rf"non-finite loss at index {min(positions)}:"
+    grads = np.ones((len(losses), 2))
+    for call in (
+        lambda: exact_dual_min(CTX1, losses),
+        lambda: dual_value(CTX1, losses, 0.0),
+        lambda: grad_eta(CTX1, losses, 0.0),
+        lambda: grad_theta(CTX1, grads, losses, 0.0),
+    ):
+        with pytest.raises(ValueError, match=pattern):
+            call()
 
 
 def test_grad_eta_examples():
@@ -335,6 +355,38 @@ def test_exact_dual_min_gradient_and_probes():
         v_star = dual_value(ctx, losses, eta_star)
         for p in eta_star + g.normal(0, 2, 40):
             assert dual_value(ctx, losses, p) >= v_star - 1e-12
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from(["spread", "ties", "equal"]),
+    size=st.integers(1, 300),
+    lam=st.sampled_from([0.05, 0.5, 1.0, 2.0, 10.0]),
+    magnitude=st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
+    data=st.data(),
+)
+def test_exact_dual_min_matches_bisection(kind, size, lam, magnitude, data):
+    if kind == "spread":
+        unit = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size))
+    elif kind == "ties":  # values on a 0.1 grid: every value repeats
+        tenths = st.integers(-10, 10).map(lambda v: v / 10)
+        unit = data.draw(st.lists(tenths, min_size=size, max_size=size))
+    else:
+        unit = [data.draw(st.floats(-1.0, 1.0))] * size
+    losses = magnitude * np.array(unit)
+    ctx = DualContext(lam=lam, lipschitz_g=1.0, num_objectives=1)
+    eta = exact_dual_min(ctx, losses)
+    # 1e-10, or the float floor where no double is that stationary: one ulp of
+    # eta moves grad_eta by up to ulp/(2*lambda), over 1e-10 near |eta| = 1e6
+    # with lambda = 0.05
+    stat = max(1e-10, float(np.spacing(abs(eta))) / lam)
+    # grad_eta rises with slope >= 1/(2*lambda*B) through its root, so the
+    # bisection point lies within 2*lambda*B*tol of it
+    tol = min(stat, 0.25e-9 * (1.0 + abs(eta)) / (lam * size))
+    ref = dual_min_bisect(ctx, losses, tol=tol)
+    assert abs(grad_eta(ctx, losses, eta)) <= stat
+    assert abs(grad_eta(ctx, losses, ref)) <= stat
+    assert abs(eta - ref) <= 1e-9 * (1.0 + abs(eta))
 
 
 def test_exact_dual_min_empty_batch():

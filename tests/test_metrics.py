@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drmoo.checks import pareto_brute_force
-from drmoo.dual import DualContext, ObjectiveJacobian, exact_dual_min, grad_eta
+from drmoo.checks import dual_min_bisect, pareto_brute_force
+from drmoo.dual import DualContext, ObjectiveJacobian, dual_value, exact_dual_min, grad_eta
 from drmoo.metrics import (
     FrontierPoint,
     balanced_grad_norm,
@@ -15,7 +15,7 @@ from drmoo.metrics import (
     surrogate_stationarity,
     window_means,
 )
-from drmoo.problems import ToySpec
+from drmoo.problems import ToySpec, perturbation_ensemble, toy_objectives
 
 from conftest import rng
 
@@ -67,8 +67,9 @@ def test_surrogate_equals_balanced_at_exact_minimizer(small_linear):
     evals = [small_linear.per_sample(i, theta) for i in range(3)]
     cols, egr = [], []
     for losses, grads in evals:
-        # tol tight enough that G * |grad_eta| stays below the comparison tol
-        eta_star = exact_dual_min(ctx, losses, tol=1e-12)
+        # the closed form is stationary to rounding, so G * |grad_eta| stays
+        # below the comparison tol
+        eta_star = exact_dual_min(ctx, losses)
         cols.append(grad_theta(ctx, grads, losses, eta_star))
         egr.append(grad_eta(ctx, losses, eta_star))
     jac = ObjectiveJacobian(np.column_stack(cols), np.array(egr))
@@ -109,6 +110,8 @@ def test_pareto_rejects_mixed_arity():
 def test_frontier_point_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         FrontierPoint(0.0, (1.0, np.inf))
+    with pytest.raises(ValueError, match="missing"):
+        FrontierPoint(0.0, ())
 
 
 @settings(deadline=None, max_examples=80)
@@ -138,6 +141,25 @@ def test_pareto_matches_brute_force_and_is_antichain(values):
             )
 
 
+@settings(deadline=None, max_examples=20)
+@given(
+    size=st.integers(1, 800),
+    m=st.sampled_from([2, 3, 4]),
+    decimals=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(size=800, m=2, decimals=1, seed=0)
+@example(size=800, m=3, decimals=2, seed=1)
+@example(size=800, m=4, decimals=2, seed=2)
+def test_pareto_matches_brute_force_at_scale(size, m, decimals, seed):
+    values = np.round(rng(seed).normal(0, 1, (size, m)), decimals)  # tie-heavy
+    pts = _pts(values)
+    got = pareto_filter(pts)
+    # the same points in input order: each point's theta is its input index
+    assert got == pareto_brute_force(pts)
+    assert pareto_filter(got) == got
+
+
 # --- robust frontier ---------------------------------------------------------
 
 
@@ -162,6 +184,27 @@ def test_robust_frontier_perturbation_changes_the_set():
     nom = {p.values for p in nominal}
     rob = {p.values for p in robust}
     assert nom != rob
+
+
+def test_robust_frontier_matches_bisection_and_brute_force():
+    grid = np.linspace(-1.0, 3.0, 401)
+    spec = ToySpec(perturbation_std=0.5, grid=tuple(grid))
+    nominal, robust = robust_frontier(spec, num_draws=200, lam=1.0, seed=0)
+
+    ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=2)
+    specs = perturbation_ensemble(spec, 200, 0)
+    draws = [np.stack([toy_objectives(s, grid)[k] for s in specs]) for k in (0, 1)]
+    cloud = []
+    for j, theta in enumerate(grid):
+        values = [dual_value(ctx, d[:, j], dual_min_bisect(ctx, d[:, j])) for d in draws]
+        cloud.append(FrontierPoint(float(theta), tuple(values)))
+    want = pareto_brute_force(cloud)
+    assert [p.theta for p in robust] == [p.theta for p in want]
+    for got, ref in zip(robust, want):
+        assert got.values == pytest.approx(ref.values, rel=1e-12, abs=0.0)
+    assert nominal == pareto_brute_force(
+        [FrontierPoint(float(t), toy_objectives(spec, float(t))) for t in grid]
+    )
 
 
 def test_robust_frontier_validation():

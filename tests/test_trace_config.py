@@ -17,7 +17,7 @@ from drmoo.solvers import (
     DoubleLoopConfig,
     RunTrace,
 )
-from drmoo.trace import read_trace, trace_header, write_trace
+from drmoo.trace import atomic_open, read_trace, trace_header, write_trace
 
 
 # --- trace CSV ---------------------------------------------------------------
@@ -78,6 +78,28 @@ def test_write_twice_same_bytes(tmp_path):
 def test_write_creates_parent_dirs(tmp_path):
     path = write_trace(_toy_trace(rows=1), tmp_path / "deep" / "er" / "t.csv")
     assert path.is_file()
+
+
+def test_atomic_open_leaves_nothing_when_the_writer_raises(tmp_path):
+    target = tmp_path / "out" / "t.csv"
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with atomic_open(target) as fh:
+            fh.write("iter,samples\n0,")
+            raise RuntimeError("mid-write")
+    assert not target.exists()
+    assert list(target.parent.iterdir()) == []
+    # an existing file keeps its old, complete content
+    target.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(target) as fh:
+            fh.write("new")
+            raise RuntimeError("mid-write")
+    assert target.read_text() == "old\n"
+    assert list(target.parent.iterdir()) == [target]
+    with atomic_open(target) as fh:
+        fh.write("new\n")
+    assert target.read_text() == "new\n"
+    assert list(target.parent.iterdir()) == [target]
 
 
 def test_read_rejects_foreign_csv(tmp_path):
