@@ -2,8 +2,9 @@
 
 Subcommands:
     run <config>      execute every run block of a config file (a path or a
-                      packaged preset name), writing one trace CSV per
-                      (run, seed) and a summary CSV per output directory
+                      packaged preset name) in worker processes, writing one
+                      trace CSV per (run, seed) and a summary CSV per output
+                      directory
     gen-data <seed> <out.csv>   write the synthetic regression instance
     pareto-toy        nominal vs. robust frontier of the toy pair (CSV + SVG)
     check             numeric invariant suite; --self-test verifies the
@@ -15,8 +16,13 @@ Exit codes: 0 success, 1 config or I/O error or a run that raised,
 """
 
 import argparse
+import multiprocessing
+import os
+import signal
 import sys
 import traceback
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -99,49 +105,135 @@ def _make_context(cfg, problem) -> DualContext:
     return DualContext(lam=cfg.lam, lipschitz_g=g, num_objectives=problem.num_objectives)
 
 
+# (cfg, problem, ctx) per run block; each worker receives the parent's
+# list through fork, so problems are never pickled
+_blocks = ()
+
+
+def _init_worker(blocks):
+    global _blocks
+    _blocks = blocks
+
+
+class _Terminated(BaseException):
+    """SIGTERM arrived during a job in a worker process."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
+def _trace_path(cfg, seed) -> Path:
+    return Path(cfg.output_dir) / f"{cfg.name}_seed{seed}.csv"
+
+
+def _run_job(block, seed):
+    """Run one (block, seed) job in a worker and write its trace.
+
+    Returns (status, traceback text or "", window means or None, final
+    samples or None). A pool that breaks SIGTERMs its workers; the handler
+    unwinds the job through atomic_open, which removes its temp file, and
+    the worker then exits without answering.
+    """
+    cfg, problem, ctx = _blocks[block]
+    try:
+        signal.signal(signal.SIGTERM, _raise_terminated)
+        tr, tb = None, ""
+        try:
+            tr = _SOLVER_FNS[cfg.solver](build_solver_config(cfg, seed), problem, ctx)
+            status = "ok"
+        except SolverDivergence as exc:
+            tr = exc.partial_trace
+            status = f"diverged@{exc.iteration}"
+        except Exception as exc:  # one failed job must not lose the others
+            tb = traceback.format_exc()
+            status = f"error:{type(exc).__name__}"
+        if tr is not None:
+            write_trace(tr, _trace_path(cfg, seed))
+            if len(tr):
+                return status, tb, window_means(tr.balanced_grad), int(tr.samples[-1])
+        return status, tb, None, None
+    except _Terminated:
+        os._exit(1)
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _submit(pool, job) -> Future:
+    """pool.submit(_run_job, *job), or a future holding the error when a
+    worker died before this job was queued."""
+    try:
+        return pool.submit(_run_job, *job)
+    except BrokenProcessPool as exc:
+        fut = Future()
+        fut.set_exception(exc)
+        return fut
+
+
 def run_experiment(runs, echo=print) -> int:
     """Execute parsed run blocks and write their artifacts.
 
-    Jobs, one per (run, seed), run one after another in config order, each
-    writing one trace CSV under the block's output_dir; then one summary.csv
-    per output_dir aggregates the first/last-20-iteration balanced-gradient
-    windows across seeds. Solver divergence is recorded in the summary status
-    column (its partial trace still gets written) and does not fail the
-    invocation. Any other exception in a job goes to stderr with its
-    traceback and is recorded as error:<type>, and the other jobs still run.
-    Config and I/O trouble raises ConfigError/OSError. Returns the process
+    Jobs, one per (run, seed), run in a pool of forked worker processes, one
+    per CPU this process may use (at most one per job). Each job writes one
+    trace CSV under the block's output_dir; then one summary.csv per
+    output_dir aggregates the first/last-20-iteration balanced-gradient
+    windows across seeds. Results are read, echoed and summarized in config
+    order, so every artifact is the same as from running the jobs one after
+    another. Solver divergence is recorded in the summary status column (its
+    partial trace still gets written) and does not fail the invocation. Any
+    other exception in a job goes to stderr with its traceback and is
+    recorded as error:<type>, and the other jobs still run; so is a failed
+    trace write (one line on stderr). A worker that dies records its job,
+    and every job the broken pool could not finish, as
+    error:BrokenProcessPool. Config trouble and problem-build I/O errors
+    raise ConfigError/OSError before any job starts. Returns the process
     exit status: 0, or 1 when a job raised.
+
+    The pool forks, so workers inherit the problems without pickling and see
+    the module state of the caller (a monkeypatched solver table, say); the
+    caller should not hold other threads at that point.
     """
     problems = [_build_problem(cfg) for cfg in runs]  # all built before any job runs
     blocks = [(cfg, p, _make_context(cfg, p)) for cfg, p in zip(runs, problems)]
+    jobs = [(b, seed) for b, (cfg, _, _) in enumerate(blocks) for seed in cfg.seeds]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool = ProcessPoolExecutor(
+        max_workers=min(cpus or 1, len(jobs)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(blocks,),
+    )
+    try:
+        results = []
+        for fut in [_submit(pool, job) for job in jobs]:
+            try:
+                results.append(fut.result())
+            except Exception as exc:  # its trace write failed or its worker died
+                # one line: a broken pool raises one exception object for every
+                # pending job, and its traceback grows with each raise
+                line = "".join(traceback.format_exception_only(exc))
+                results.append((f"error:{type(exc).__name__}", line, None, None))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     by_dir = {}
     exit_status = 0
-    for cfg, problem, ctx in blocks:
+    results = iter(results)  # in job order, which is config order
+    for cfg, _, _ in blocks:
         inits, finals, samples, bad = [], [], [0], []
         for seed in cfg.seeds:
-            path = Path(cfg.output_dir) / f"{cfg.name}_seed{seed}.csv"
-            tr = None
-            try:
-                tr = _SOLVER_FNS[cfg.solver](build_solver_config(cfg, seed), problem, ctx)
-                status = "ok"
-            except SolverDivergence as exc:
-                tr = exc.partial_trace
-                status = f"diverged@{exc.iteration}"
-            except Exception as exc:  # one failed job must not lose the others
-                traceback.print_exc(file=sys.stderr)
-                status = f"error:{type(exc).__name__}"
+            status, tb, means, last = next(results)
+            if tb:
+                sys.stderr.write(tb)
+            if status.startswith("error:"):
                 exit_status = 1
             if status != "ok":
                 bad.append(f"seed{seed}:{status}")
-            if tr is not None:
-                write_trace(tr, path)
-                if len(tr):
-                    init, final = window_means(tr.balanced_grad)
-                    inits.append(init)
-                    finals.append(final)
-                    samples.append(int(tr.samples[-1]))
-            echo(f"{path}  [{status}]")
+            if means is not None:
+                inits.append(means[0])
+                finals.append(means[1])
+                samples.append(last)
+            echo(f"{_trace_path(cfg, seed)}  [{status}]")
         stats = (np.mean(inits), np.mean(finals), np.std(finals)) if finals else (np.nan,) * 3
         row = [cfg.name, cfg.problem, cfg.solver, " ".join(str(s) for s in cfg.seeds),
                ";".join(bad) or "ok", *map(_fmt, stats), str(max(samples))]

@@ -20,6 +20,7 @@ Presets for the two reference experiments ship with the package, see
 preset_names().
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -92,9 +93,12 @@ def _convert(key, raw, typ, lineno):
             raise ConfigError(f"line {lineno}: key {key!r} expects an integer, got {raw!r}") from None
     if typ is float:
         try:
-            return float(raw)
+            v = float(raw)
         except ValueError:
             raise ConfigError(f"line {lineno}: key {key!r} expects a real number, got {raw!r}") from None
+        if not math.isfinite(v):
+            raise ConfigError(f"line {lineno}: key {key!r} must be finite, got {raw!r}")
+        return v
     if typ == "seed_list":
         try:
             seeds = [int(s.strip()) for s in raw.split(",") if s.strip() != ""]
@@ -110,8 +114,8 @@ def _convert(key, raw, typ, lineno):
             v = float(raw)
         except ValueError:
             raise ConfigError(f"line {lineno}: key 'g' expects 'auto' or a positive real, got {raw!r}") from None
-        if v <= 0:
-            raise ConfigError(f"line {lineno}: key 'g' must be positive, got {raw!r}")
+        if not 0 < v < math.inf:
+            raise ConfigError(f"line {lineno}: key 'g' must be positive and finite, got {raw!r}")
         return v
     raise AssertionError(typ)
 

@@ -80,10 +80,10 @@ class DualContext:
     conjugate: Conjugate = field(default_factory=Conjugate)
 
     def __post_init__(self):
-        if not (self.lam > 0):
-            raise ValueError(f"lambda must be positive, got {self.lam}")
-        if not (self.lipschitz_g > 0):
-            raise ValueError(f"lipschitz_g must be positive, got {self.lipschitz_g}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+        if not 0 < self.lipschitz_g < math.inf:
+            raise ValueError(f"lipschitz_g must be positive and finite, got {self.lipschitz_g}")
         if self.num_objectives < 1:
             raise ValueError(f"num_objectives must be >= 1, got {self.num_objectives}")
 

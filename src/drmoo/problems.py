@@ -10,17 +10,23 @@ Three families share one interface:
 
 A MultiTaskProblem owns per-objective datasets and evaluates per-sample
 losses and loss gradients at a given parameter vector; all sampling takes an
-explicit RNG stream so concurrent callers never share state. Instances are
-immutable after construction.
+explicit RNG stream, so a job's draws do not depend on which process runs it
+or on what runs beside it. Instances are immutable after construction, which
+lets `drmoo run` share them with its forked workers instead of pickling them.
+
+The logistic loss uses this module's own overflow-free sigmoid; numpy is the
+only dependency.
 """
 
 import csv
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
+
+from .trace import atomic_open
 
 LOSS_SQUARED = "squared_error"
 LOSS_BCE = "binary_cross_entropy"
@@ -45,6 +51,13 @@ WINE_COLUMNS = (
 )
 
 WINE_THRESHOLDS = {"quality": 0.5, "residual sugar": 0.8, "alcohol": 0.1}
+
+
+def sigmoid(z):
+    """Elementwise logistic function 1/(1+e^-z), without overflow: exp only
+    ever sees -|z|."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class MultiTaskProblem:
@@ -113,7 +126,7 @@ class MultiTaskProblem:
         else:
             # logistic loss with logits z: log(1 + e^z) - y*z
             losses = np.logaddexp(0.0, z) - y * z
-            grads = (expit(z) - y)[:, None] * x
+            grads = (sigmoid(z) - y)[:, None] * x
         if off is not None:
             losses = losses + off
         return losses, grads
@@ -133,7 +146,7 @@ class MultiTaskProblem:
             r = z - y
             losses, slopes = r * r, 2.0 * r
         else:
-            losses, slopes = np.logaddexp(0.0, z) - y * z, expit(z) - y
+            losses, slopes = np.logaddexp(0.0, z) - y * z, sigmoid(z) - y
         if off is not None:
             losses = losses + off
         return losses, slopes, x
@@ -279,9 +292,15 @@ def load_wine_tasks(path, thresholds=None) -> MultiTaskProblem:
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                rows.append([float(v) for v in row])
+                vals = [float(v) for v in row]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed numeric row") from None
+            if not all(map(math.isfinite, vals)):
+                j = next(j for j, v in enumerate(vals) if not math.isfinite(v))
+                raise ValueError(
+                    f"{path}:{lineno}: non-finite value {row[j]!r} in column {header[j]!r}"
+                )
+            rows.append(vals)
     if not rows:
         raise ValueError(f"{path}:2: no data rows")
     data = np.asarray(rows)  # (N, len(header))
@@ -356,8 +375,7 @@ def synthesize_wine_csv(path, seed: int = 0, rows: int = 4898) -> Path:
         "quality": quality,
     }
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         fh.write(";".join(f'"{c}"' for c in WINE_COLUMNS) + "\n")
         for j in range(rows):
             vals = []
@@ -393,8 +411,10 @@ class ToySpec:
     grid: tuple = None
 
     def __post_init__(self):
-        if self.perturbation_std < 0:
-            raise ValueError("perturbation std must be nonnegative")
+        if not 0 <= self.perturbation_std < math.inf:
+            raise ValueError(
+                f"perturbation std must be nonnegative and finite, got {self.perturbation_std}"
+            )
         if self.grid is None:
             object.__setattr__(self, "grid", _default_grid())
         elif len(self.grid) == 0:

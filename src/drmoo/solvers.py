@@ -20,8 +20,9 @@ Determinism: every random draw comes from a stream keyed by
 sequential and keeps its state in local variables.
 """
 
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -102,6 +103,14 @@ class SolverDivergence(RuntimeError):
         self.partial_trace = partial_trace
 
 
+def _require_finite(cfg):
+    """Reject a solver config with a nan or infinite float field."""
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{f.name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class DoubleLoopConfig:
     alpha: float  # theta step
@@ -114,6 +123,7 @@ class DoubleLoopConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self)
         if min(self.alpha, self.beta, self.gamma) <= 0:
             raise ValueError("step sizes must be positive")
         if self.rho < 0:
@@ -137,6 +147,7 @@ class DoubleClipConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self)
         if min(self.gamma, self.beta) <= 0:
             raise ValueError("step sizes must be positive")
         if self.rho < 0:
@@ -159,6 +170,7 @@ class BaselineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self)
         if min(self.lr, self.beta) <= 0:
             raise ValueError("step sizes must be positive")
         if self.rho < 0:

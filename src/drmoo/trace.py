@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .solvers import RunTrace
-
 
 def trace_header(m: int):
     return (
@@ -51,7 +49,8 @@ def atomic_open(path):
         raise
 
 
-def write_trace(trace: RunTrace, path) -> Path:
+def write_trace(trace, path) -> Path:
+    """Write a solvers.RunTrace as CSV (schema above); returns the path."""
     path = Path(path)
     m = trace.num_objectives
     with atomic_open(path) as fh:

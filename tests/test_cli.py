@@ -1,15 +1,22 @@
 """Command line behavior: exit codes, artifacts on disk, SVG emission."""
 
+import os
 import re
+import time
+from concurrent.futures import ProcessPoolExecutor, wait
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from drmoo import cli
 from drmoo.checks import CheckResult
+from drmoo.config import build_solver_config, parse_config
+from drmoo.metrics import window_means
 from drmoo.problems import WINE_ENV
+from drmoo.solvers import SolverDivergence
 from drmoo.svg import emit_svg_plot, emit_svg_scatter
-from drmoo.trace import read_trace
+from drmoo.trace import atomic_open, read_trace, write_trace
 
 
 @pytest.fixture
@@ -105,6 +112,164 @@ def test_run_keeps_other_jobs_when_one_raises(workdir, capsys, monkeypatch):
     rows = (workdir / "out" / "summary.csv").read_text().splitlines()[1:]
     assert rows[0].split(",")[:5] == ["t1", "toy", "double_clip", "0 1", "ok"]
     assert rows[1].split(",")[:5] == ["bad", "toy", "mgda", "0", "seed0:error:RuntimeError"]
+
+
+POOL_CFG = TOY_CFG + """
+[run.m]
+problem = toy
+solver = mgda
+seeds = 3,0,2
+toy_draws = 30
+T = 25
+B = 4
+
+[run.lin]
+problem = linear
+solver = double_loop
+seeds = 1,0
+T = 12
+D = 3
+B = 16
+
+[run.blowup]
+problem = toy
+solver = modo
+lr = 1e9
+T = 60
+B = 8
+"""
+
+
+def _pool_runs():
+    runs = parse_config(POOL_CFG)
+    runs[2].output_dir = "lin"  # a second summary
+    return runs
+
+
+def _serial_reference(runs, outdir):
+    """The jobs of runs one after another in this process, with the summary
+    rows built here; returns {output_dir: summary text}."""
+    summaries = {}
+    for cfg in runs:
+        problem = cli._build_problem(cfg)
+        ctx = cli._make_context(cfg, problem)
+        inits, finals, samples, bad = [], [], [0], []
+        for seed in cfg.seeds:
+            try:
+                tr = cli._SOLVER_FNS[cfg.solver](build_solver_config(cfg, seed), problem, ctx)
+            except SolverDivergence as exc:
+                tr = exc.partial_trace
+                bad.append(f"seed{seed}:diverged@{exc.iteration}")
+            write_trace(tr, outdir / cfg.output_dir / f"{cfg.name}_seed{seed}.csv")
+            init, final = window_means(tr.balanced_grad)
+            inits.append(init)
+            finals.append(final)
+            samples.append(int(tr.samples[-1]))
+        stats = (np.mean(inits), np.mean(finals), np.std(finals))
+        row = [cfg.name, cfg.problem, cfg.solver, " ".join(map(str, cfg.seeds)),
+               ";".join(bad) or "ok", *map(cli._fmt, stats), str(max(samples))]
+        summaries.setdefault(cfg.output_dir, [cli.SUMMARY_HEADER]).append(",".join(row))
+    return {d: "\n".join(rows) + "\n" for d, rows in summaries.items()}
+
+
+def _without_wall_ms(path):
+    return [line.split(",")[:2] + line.split(",")[3:] for line in path.read_text().splitlines()]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pool_output_matches_serial_reference(workdir):
+    echoed = []
+    assert cli.run_experiment(_pool_runs(), echo=echoed.append) == 0
+    ref = workdir / "ref"
+    summaries = _serial_reference(_pool_runs(), ref)
+
+    assert sorted(summaries) == ["lin", "out"]
+    for outdir, text in summaries.items():
+        assert (workdir / outdir / "summary.csv").read_text() == text
+    assert "seed0:diverged@" in summaries["out"]
+    traces = sorted(p.relative_to(ref) for p in ref.rglob("*.csv"))
+    assert len(traces) == 2 + 3 + 2 + 1
+    assert sorted(p.relative_to(workdir) for p in workdir.glob("*/*.csv")) == sorted(
+        traces + [Path("out/summary.csv"), Path("lin/summary.csv")]
+    )
+    for rel in traces:
+        assert _without_wall_ms(workdir / rel) == _without_wall_ms(ref / rel), rel
+    # echoed in config order, then the summaries
+    jobs = [f"{d}/{n}_seed{s}.csv" for d, n, seeds in
+            (("out", "t1", "01"), ("out", "m", "302"), ("lin", "lin", "10"), ("out", "blowup", "0"))
+            for s in seeds]
+    assert [line.split()[0] for line in echoed] == jobs + ["out/summary.csv", "lin/summary.csv"]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two concurrent workers")
+def test_run_survives_a_worker_that_dies_mid_write(workdir, capsys, monkeypatch):
+    marker = workdir / "writing"
+
+    def stalled_write(trace, path):
+        if Path(path).name != "slow_seed0.csv":
+            return write_trace(trace, path)
+        with atomic_open(path) as fh:
+            fh.write("iter,")
+            fh.flush()
+            marker.touch()
+            time.sleep(60)  # ended by the SIGTERM of the broken pool
+
+    def dies(cfg, problem, ctx):
+        deadline = time.monotonic() + 60
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        os._exit(3)
+
+    monkeypatch.setattr(cli, "write_trace", stalled_write)
+    monkeypatch.setitem(cli._SOLVER_FNS, "mgda", dies)
+    cfg = (
+        "output_dir = out\n"
+        "[run.slow]\nproblem = toy\nsolver = double_clip\ntoy_draws = 40\nT = 6\nB = 8\n"
+        "[run.dies]\nproblem = toy\nsolver = mgda\ntoy_draws = 40\nT = 6\nB = 8\n"
+        + TOY_CFG.replace("output_dir = out\n", "")
+    )
+    _write(workdir / "exp.cfg", cfg)
+    t0 = time.monotonic()
+    assert cli.main(["run", "exp.cfg"]) == 1
+    assert time.monotonic() - t0 < 30
+    captured = capsys.readouterr()
+    assert "out/dies_seed0.csv  [error:BrokenProcessPool]" in captured.out
+    assert "BrokenProcessPool" in captured.err
+    rows = {r.split(",")[0]: r.split(",")[4]
+            for r in (workdir / "out" / "summary.csv").read_text().splitlines()[1:]}
+    assert rows["dies"] == "seed0:error:BrokenProcessPool"
+    assert rows["slow"] == "seed0:error:BrokenProcessPool"
+    # every other job either finished with a complete trace or is an error
+    for seed in (0, 1):
+        trace = workdir / "out" / f"t1_seed{seed}.csv"
+        if f"seed{seed}:error:" not in rows["t1"]:
+            assert len(read_trace(trace)["iter"]) == 6
+    assert not (workdir / "out" / "slow_seed0.csv").exists()
+    assert not (workdir / "out" / "dies_seed0.csv").exists()
+    assert not [p for p in workdir.rglob("*") if p.name.endswith(".tmp")]
+
+
+def test_run_records_jobs_queued_after_a_worker_died(workdir, capsys, monkeypatch):
+    class OneJobAtATime(ProcessPoolExecutor):
+        # each job ends before the next is queued, so the pool is already
+        # broken when the jobs after the dying one are submitted
+        def submit(self, fn, *args):
+            fut = super().submit(fn, *args)
+            wait([fut], timeout=60)
+            return fut
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", OneJobAtATime)
+    monkeypatch.setitem(cli._SOLVER_FNS, "mgda", lambda *a: os._exit(3))
+    dies = "\n[run.dies]\nproblem = toy\nsolver = mgda\ntoy_draws = 40\nT = 6\nB = 8\n"
+    cfg = TOY_CFG.replace("\n[run.t1]", dies + "[run.t1]") + "seeds = 0,1,2\n"
+    cfg = cfg.replace("seeds = 0,1\n", "")
+    _write(workdir / "exp.cfg", cfg)
+    assert cli.main(["run", "exp.cfg"]) == 1
+    assert "[error:BrokenProcessPool]" in capsys.readouterr().out
+    rows = (workdir / "out" / "summary.csv").read_text().splitlines()[1:]
+    assert rows[0].split(",")[:5] == ["dies", "toy", "mgda", "0", "seed0:error:BrokenProcessPool"]
+    assert rows[1].split(",")[4] == ";".join(f"seed{s}:error:BrokenProcessPool" for s in (0, 1, 2))
+    assert list((workdir / "out").iterdir()) == [workdir / "out" / "summary.csv"]
 
 
 def test_run_unknown_config_or_preset(workdir, capsys):

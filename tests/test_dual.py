@@ -86,6 +86,16 @@ def test_context_validation():
         DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=0)
 
 
+@given(
+    field=st.sampled_from(["lam", "lipschitz_g"]),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_context_rejects_nonfinite(field, bad):
+    kwargs = {"lam": 1.0, "lipschitz_g": 1.0, "num_objectives": 2, field: bad}
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        DualContext(**kwargs)
+
+
 def test_eta_scale():
     ctx = DualContext(lam=1.0, lipschitz_g=2.0, num_objectives=4)
     assert ctx.eta_scale == 4.0  # G * sqrt(m)

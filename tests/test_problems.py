@@ -1,10 +1,15 @@
 """Problem instances: linear generator, wine loader, toy pair, sampling."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drmoo import problems
 from drmoo.problems import (
     LOSS_BCE,
     LOSS_SQUARED,
@@ -18,6 +23,7 @@ from drmoo.problems import (
     perturbation_ensemble,
     quantile_threshold,
     resolve_wine_path,
+    sigmoid,
     synthesize_wine_csv,
     toy_objectives,
     toy_problem,
@@ -61,6 +67,35 @@ def test_logistic_single_sample_example():
     losses, grads = p.per_sample(0, np.zeros(2))
     assert losses[0] == pytest.approx(math.log(2.0), abs=1e-12)
     assert grads[0] == pytest.approx([0.0, -0.5], abs=1e-12)
+
+
+def _sigmoid_reference(z: float) -> float:
+    if z >= -700.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    return math.exp(z)  # e^z / (1 + e^z) equals e^z to far below one ulp here
+
+
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
+def test_sigmoid_matches_python_float_reference(zs):
+    z = np.array(zs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(z)
+    ref = np.array([_sigmoid_reference(v) for v in zs])
+    assert got.shape == z.shape
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    # three roundings in each formula plus exp's own: a few eps apart at most
+    np.testing.assert_allclose(got, ref, rtol=4 * np.finfo(float).eps, atol=1e-300)
+
+
+def test_sigmoid_extremes_raise_no_warning():
+    z = np.array([-1e3, -745.2, -709.8, -1.0, -0.0, 0.0, 1.0, 36.8, 709.8, 1e3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(z)
+    assert got[0] == 0.0 and got[-1] == 1.0
+    assert got[4] == got[5] == 0.5
+    assert np.all(np.diff(got) >= 0.0)
 
 
 def test_per_sample_gradients_match_finite_differences(small_linear, small_logistic):
@@ -276,6 +311,38 @@ def test_wine_loader_errors_carry_line_numbers(tmp_path):
     header_only.write_text(";".join(f'"{c}"' for c in WINE_COLUMNS) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no data rows"):
         load_wine_tasks(header_only)
+
+
+_NONFINITE_CELLS = ["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "+INF", "1e999"]
+
+
+@settings(max_examples=60)
+@given(
+    rows=st.integers(1, 6),
+    data=st.data(),
+    cell=st.sampled_from(_NONFINITE_CELLS),
+)
+def test_wine_loader_rejects_nonfinite_cells(tmp_path_factory, rows, data, cell):
+    r = data.draw(st.integers(0, rows - 1))
+    c = data.draw(st.integers(0, len(WINE_COLUMNS) - 1))
+    lines = [_wine_row(q) for q in range(3, 3 + rows)]
+    fields = lines[r].split(";")
+    fields[c] = cell
+    lines[r] = ";".join(fields)
+    path = _write_wine(tmp_path_factory.mktemp("wine"), lines)
+    line = r + 2
+    with pytest.raises(ValueError, match=rf"wine\.csv:{line}: non-finite value '{re.escape(cell)}' "
+                                         rf"in column '{re.escape(WINE_COLUMNS[c])}'"):
+        load_wine_tasks(path)
+
+
+def test_synthesize_wine_csv_leaves_nothing_when_the_write_fails(tmp_path, monkeypatch):
+    # a column with no generated values makes the first data row raise
+    # after the header is already written
+    monkeypatch.setattr(problems, "WINE_COLUMNS", WINE_COLUMNS + ("vintage",))
+    with pytest.raises(KeyError, match="vintage"):
+        synthesize_wine_csv(tmp_path / "data" / "wine.csv", rows=5)
+    assert list((tmp_path / "data").iterdir()) == []
 
 
 def test_synthesized_wine_is_deterministic_and_loadable(tmp_path):

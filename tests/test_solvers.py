@@ -1,5 +1,8 @@
 """Solver iterations: determinism, invariants, accounting, divergence."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +102,18 @@ def test_config_validation():
         _dc_cfg(N2=0)
     with pytest.raises(ValueError, match="step sizes"):
         _bl_cfg(lr=-1.0)
+
+
+@given(
+    make=st.sampled_from([_dl_cfg, _dc_cfg, _bl_cfg]),
+    data=st.data(),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_config_rejects_nonfinite_floats(make, data, bad):
+    floats = [f.name for f in dataclasses.fields(make()) if f.type is float]
+    name = data.draw(st.sampled_from(floats))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make(**{name: bad})
 
 
 def test_solver_rejects_objective_mismatch():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from drmoo.config import (
     ConfigError,
@@ -217,6 +219,21 @@ def test_multiple_blocks_in_order():
 )
 def test_parse_errors(text, pattern):
     with pytest.raises(ConfigError, match=pattern):
+        parse_config(text)
+
+
+@given(
+    solver_key=st.sampled_from([
+        ("mgda", "lr"), ("modo", "beta"), ("double_loop", "alpha"), ("double_loop", "rho"),
+        ("double_clip", "c1"), ("double_clip", "f2"), ("mgda", "lambda"), ("modo", "toy_std"),
+        ("mgda", "g"),
+    ]),
+    raw=st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "Infinity", "+INF", "1e999"]),
+)
+def test_parse_rejects_nonfinite_reals_with_line_number(solver_key, raw):
+    solver, key = solver_key
+    text = f"[run.a]\nproblem = toy\nsolver = {solver}\n{key} = {raw}\n"
+    with pytest.raises(ConfigError, match=f"line 4: key '{key}' must be (positive and )?finite"):
         parse_config(text)
 
 
