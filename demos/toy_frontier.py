@@ -16,8 +16,6 @@ Things to try:
 
 import argparse
 
-import numpy as np
-
 from drmoo.metrics import robust_frontier
 from drmoo.problems import ToySpec
 from drmoo.svg import emit_svg_scatter
@@ -32,13 +30,9 @@ def main():
     ap.add_argument("--out", default="toy_frontier.svg")
     args = ap.parse_args()
 
-    grid = np.linspace(-1.0, 3.0, 401)
+    # ToySpec's default grid: 401 points on [-1, 3]
     nominal, robust = robust_frontier(
-        ToySpec(perturbation_std=args.std),
-        num_draws=args.draws,
-        lam=args.lam,
-        grid=grid,
-        seed=args.seed,
+        ToySpec(perturbation_std=args.std), num_draws=args.draws, lam=args.lam, seed=args.seed
     )
 
     print(f"std={args.std} draws={args.draws} lambda={args.lam}")

@@ -143,22 +143,21 @@ def dual_min_bisect(ctx, losses, tol=1e-10):
 
 
 def check_conjugate() -> CheckResult:
-    c = dual.Conjugate()
     spots = [
-        (dual.conjugate_value(c, 0.0), 0.0),
-        (dual.conjugate_value(c, -2.0), -1.0),
-        (dual.conjugate_value(c, 2.0), 3.0),
-        (dual.conjugate_deriv(c, 0.0), 1.0),
-        (dual.conjugate_deriv(c, -3.0), 0.0),
-        (dual.conjugate_deriv(c, 2.0), 2.0),
+        (dual.conjugate_value(0.0), 0.0),
+        (dual.conjugate_value(-2.0), -1.0),
+        (dual.conjugate_value(2.0), 3.0),
+        (dual.conjugate_deriv(0.0), 1.0),
+        (dual.conjugate_deriv(-3.0), 0.0),
+        (dual.conjugate_deriv(2.0), 2.0),
     ]
     worst = max(abs(a - b) for a, b in spots)
     rng = _rng(11)
     a = rng.normal(0, 5, 1000)
     b = rng.normal(0, 5, 1000)
-    lip = np.abs(dual.conjugate_deriv(c, a) - dual.conjugate_deriv(c, b))
-    slack = float((c.smoothness_m * np.abs(a - b) - lip).min())
-    nonneg = float(dual.conjugate_deriv(c, rng.normal(0, 5, 1000)).min())
+    lip = np.abs(dual.conjugate_deriv(a) - dual.conjugate_deriv(b))
+    slack = float((dual.SMOOTHNESS_M * np.abs(a - b) - lip).min())
+    nonneg = float(dual.conjugate_deriv(rng.normal(0, 5, 1000)).min())
     ok = worst == 0.0 and slack >= -1e-12 and nonneg >= 0.0
     return CheckResult(
         "conjugate-values-and-smoothness", ok,
@@ -312,7 +311,7 @@ def check_semi_smoothness(pairs=100) -> CheckResult:
     radius = 1.5
     g, l = box_constants(problem, radius)
     ctx = dual.DualContext(lam=1.0, lipschitz_g=g, num_objectives=3)
-    l0 = g * g * ctx.conjugate.smoothness_m / ctx.lam + l
+    l0 = g * g * dual.SMOOTHNESS_M / ctx.lam + l
     rng = _rng(18)
     slack = np.inf
     for _ in range(pairs):

@@ -11,7 +11,7 @@ Subcommands:
                       suite itself catches an injected gradient bug
     plot <metric> <out.svg> <traces...>   log-scale comparison plot
 
-Exit codes: 0 success, 1 config or I/O error or a run that raised,
+Exit codes: 0 success, 1 config, argument or I/O error or a run that raised,
 2 invariant check failure.
 """
 
@@ -47,30 +47,15 @@ from .problems import (
     resolve_wine_path,
     toy_problem,
 )
-from .solvers import (
-    SolverDivergence,
-    run_double_clip,
-    run_double_loop,
-    run_modo,
-    run_stochastic_mgda,
-)
+from .solvers import SOLVERS, SolverDivergence
 from .svg import emit_svg_plot, emit_svg_scatter
-from .trace import atomic_open, write_trace
+from .trace import _fmt, atomic_open, write_trace
 
-_SOLVER_FNS = {
-    "double_loop": run_double_loop,
-    "double_clip": run_double_clip,
-    "mgda": run_stochastic_mgda,
-    "modo": run_modo,
-}
+_SOLVER_FNS = {name: run for name, (run, _) in SOLVERS.items()}
 
 SUMMARY_HEADER = (
     "run,problem,solver,seeds,status,init20_mean,final20_mean,final20_std,samples_per_seed"
 )
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -263,7 +248,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    problem = gen_linear(LinearSpec(seed=args.seed))
+    try:
+        problem = gen_linear(LinearSpec(seed=args.seed))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     x = problem.features[0]
     out = Path(args.out)
     header = [f"x{j + 1}" for j in range(x.shape[1])]
@@ -291,14 +279,15 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def cmd_pareto_toy(args) -> int:
     grid = _parse_grid(args.grid)
-    nominal, robust = robust_frontier(
-        ToySpec(perturbation_std=args.std),
-        perturbation_std=args.std,
-        num_draws=args.draws,
-        lam=args.lam,
-        grid=grid,
-        seed=args.seed,
-    )
+    try:
+        nominal, robust = robust_frontier(
+            ToySpec(perturbation_std=args.std, grid=tuple(grid)),
+            num_draws=args.draws,
+            lam=args.lam,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out_csv = Path(args.out_csv)
     with atomic_open(out_csv) as fh:
         fh.write("frontier,theta,f1,f2\n")

@@ -13,48 +13,44 @@ one or more run blocks:
     g = auto
     alpha = 5e-5
 
-`#` starts a comment anywhere on a line. Unknown keys are rejected with
-their line number; problem and solver are the only required keys, all
-hyperparameters have per-solver defaults (the synthetic-regression presets).
+`#` starts a comment anywhere on a line. problem and solver are the only
+required keys. A block may also set the common keys (seeds, lambda, g,
+data_seed, toy_draws, toy_std) and the fields of its solver's config
+dataclass in solvers.SOLVERS, which also supplies the defaults (the
+synthetic-regression settings); double_clip also takes B, which sets N1 and
+N2 when they are not given. Everything is checked while parsing: an unknown
+key or a malformed or out-of-range value fails with its line number, and a
+value the solver's dataclass rejects fails with the block's line number.
 Presets for the two reference experiments ship with the package, see
 preset_names().
 """
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
-PROBLEMS = ("linear", "wine", "toy")
-SOLVERS = ("double_loop", "double_clip", "mgda", "modo")
+from .solvers import SOLVERS
 
-# key -> python type, per solver; "g" is special-cased (float or "auto")
-_COMMON_TYPES = {
-    "problem": str,
-    "solver": str,
-    "seeds": "seed_list",
-    "lambda": float,
-    "g": "auto_or_float",
-    "data_seed": int,
-    "toy_draws": int,
-    "toy_std": float,
+PROBLEMS = ("linear", "wine", "toy")
+
+_POSITIVE = ("positive", lambda v: v > 0)
+_NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
+
+# common block key -> (ExperimentConfig attribute, type, (range name, test))
+_COMMON_KEYS = {
+    "seeds": ("seeds", "seed_list", _NONNEGATIVE),
+    "lambda": ("lam", float, _POSITIVE),
+    "g": ("g", "auto_or_float", _POSITIVE),
+    "data_seed": ("data_seed", int, _NONNEGATIVE),
+    "toy_draws": ("toy_draws", int, _POSITIVE),
+    "toy_std": ("toy_std", float, _NONNEGATIVE),
 }
-_SOLVER_TYPES = {
-    "double_loop": {"T": int, "D": int, "B": int, "alpha": float, "beta": float,
-                    "gamma": float, "rho": float},
-    "double_clip": {"T": int, "B": int, "N1": int, "N2": int, "gamma": float,
-                    "beta": float, "rho": float, "c1": float, "c2": float,
-                    "f1": float, "f2": float},
-    "mgda": {"T": int, "B": int, "lr": float, "beta": float, "rho": float},
-    "modo": {"T": int, "B": int, "lr": float, "beta": float, "rho": float},
-}
-_SOLVER_DEFAULTS = {
-    "double_loop": {"T": 600, "D": 20, "B": 256, "alpha": 5e-5, "beta": 5e-5,
-                    "gamma": 5e-3, "rho": 1e-5},
-    "double_clip": {"T": 600, "B": 256, "gamma": 1e-2, "beta": 5e-4, "rho": 1e-5,
-                    "c1": 0.5, "c2": 0.1, "f1": 0.5, "f2": 0.1},
-    "mgda": {"T": 600, "B": 256, "lr": 1e-5, "beta": 1e-5, "rho": 0.0},
-    "modo": {"T": 600, "B": 256, "lr": 1e-5, "beta": 1e-5, "rho": 1e-5},
+_EXPECTS = {
+    int: "an integer",
+    float: "a real number",
+    "seed_list": "comma-separated integers",
+    "auto_or_float": "'auto' or a positive real",
 }
 _GLOBAL_KEYS = ("output_dir", "wine_path")
 
@@ -80,44 +76,29 @@ class ExperimentConfig:
     toy_std: float = 0.5
     output_dir: str = "runs"
     wine_path: str = None
-    params: dict = field(default_factory=dict)  # solver hyperparameters, typed
+    params: dict = field(default_factory=dict)  # the solver config's fields but seed
 
 
-def _convert(key, raw, typ, lineno):
-    if typ is str:
+def _convert(key, raw, typ, lineno, valid=None):
+    """raw as a finite value of typ; valid = (name, test) bounds it (every
+    seed of a seed list)."""
+    if typ == "auto_or_float" and raw == "auto":
         return raw
-    if typ is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: key {key!r} expects an integer, got {raw!r}") from None
-    if typ is float:
-        try:
-            v = float(raw)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: key {key!r} expects a real number, got {raw!r}") from None
-        if not math.isfinite(v):
-            raise ConfigError(f"line {lineno}: key {key!r} must be finite, got {raw!r}")
-        return v
-    if typ == "seed_list":
-        try:
-            seeds = [int(s.strip()) for s in raw.split(",") if s.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"line {lineno}: key 'seeds' expects comma-separated integers, got {raw!r}") from None
-        if not seeds:
-            raise ConfigError(f"line {lineno}: key 'seeds' is empty")
-        return seeds
-    if typ == "auto_or_float":
-        if raw == "auto":
-            return "auto"
-        try:
-            v = float(raw)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: key 'g' expects 'auto' or a positive real, got {raw!r}") from None
-        if not 0 < v < math.inf:
-            raise ConfigError(f"line {lineno}: key 'g' must be positive and finite, got {raw!r}")
-        return v
-    raise AssertionError(typ)
+    try:
+        if typ == "seed_list":
+            value = [int(s) for s in raw.split(",") if s.strip()]
+        else:
+            value = int(raw) if typ is int else float(raw)
+    except ValueError:
+        raise ConfigError(f"line {lineno}: key {key!r} expects {_EXPECTS[typ]}, got {raw!r}") from None
+    items = value if typ == "seed_list" else [value]
+    if not items:
+        raise ConfigError(f"line {lineno}: key {key!r} is empty")
+    if not all(map(math.isfinite, items)):
+        raise ConfigError(f"line {lineno}: key {key!r} must be finite, got {raw!r}")
+    if valid is not None and not all(map(valid[1], items)):
+        raise ConfigError(f"line {lineno}: key {key!r} must be {valid[0]}, got {raw!r}")
+    return value
 
 
 def _finish_block(name, section_line, entries, globals_):
@@ -138,28 +119,34 @@ def _finish_block(name, section_line, entries, globals_):
         raise ConfigError(f"line {pl}: unknown problem {problem!r}; choose from {PROBLEMS}")
     solver, sl = raw.pop("solver")
     if solver not in SOLVERS:
-        raise ConfigError(f"line {sl}: unknown solver {solver!r}; choose from {SOLVERS}")
+        raise ConfigError(f"line {sl}: unknown solver {solver!r}; choose from {tuple(SOLVERS)}")
 
-    solver_types = _SOLVER_TYPES[solver]
+    default = SOLVERS[solver][1]
+    solver_types = {f.name: f.type for f in fields(default) if f.name != "seed"}
+    if solver == "double_clip":
+        solver_types["B"] = int
     cfg = ExperimentConfig(name=name, problem=problem, solver=solver, seeds=[0],
                            output_dir=globals_["output_dir"], wine_path=globals_["wine_path"])
-    params = dict(_SOLVER_DEFAULTS[solver])
+    params = {}
     for key, (value, lineno) in raw.items():
-        if key in _COMMON_TYPES and key not in ("problem", "solver"):
-            typed = _convert(key, value, _COMMON_TYPES[key], lineno)
-            attr = {"lambda": "lam"}.get(key, key)
-            setattr(cfg, attr, typed)
+        if key in _COMMON_KEYS:
+            attr, typ, valid = _COMMON_KEYS[key]
+            setattr(cfg, attr, _convert(key, value, typ, lineno, valid))
         elif key in solver_types:
             params[key] = _convert(key, value, solver_types[key], lineno)
         else:
             raise ConfigError(
                 f"line {lineno}: unknown key {key!r} for solver {solver!r} "
-                f"(allowed: {sorted(set(_COMMON_TYPES) | set(solver_types))})"
+                f"(allowed: {sorted({'problem', 'solver', *_COMMON_KEYS, *solver_types})})"
             )
-    if solver == "double_clip":
-        params.setdefault("N1", params["B"])
-        params.setdefault("N2", params["B"])
-    cfg.params = params
+    if solver == "double_clip" and "B" in params:
+        b = params.pop("B")
+        params = {"N1": b, "N2": b, **params}
+    try:
+        built = replace(default, **params)
+    except ValueError as exc:
+        raise ConfigError(f"line {section_line}: [run.{name}]: {exc}") from None
+    cfg.params = {f.name: getattr(built, f.name) for f in fields(built) if f.name != "seed"}
     return cfg
 
 
@@ -209,19 +196,8 @@ def parse_config(text: str):
 
 
 def build_solver_config(cfg: ExperimentConfig, seed: int):
-    """Instantiate the typed solver config for one seed of a run block."""
-    from . import solvers
-
-    p = cfg.params
-    if cfg.solver == "double_loop":
-        return solvers.DoubleLoopConfig(alpha=p["alpha"], beta=p["beta"], gamma=p["gamma"],
-                                        rho=p["rho"], T=p["T"], D=p["D"], B=p["B"], seed=seed)
-    if cfg.solver == "double_clip":
-        return solvers.DoubleClipConfig(gamma=p["gamma"], beta=p["beta"], rho=p["rho"],
-                                        c1=p["c1"], c2=p["c2"], f1=p["f1"], f2=p["f2"],
-                                        N1=p["N1"], N2=p["N2"], T=p["T"], seed=seed)
-    return solvers.BaselineConfig(lr=p["lr"], beta=p["beta"], rho=p["rho"],
-                                  T=p["T"], B=p["B"], seed=seed)
+    """The solver config of one seed of a run block."""
+    return replace(SOLVERS[cfg.solver][1], **cfg.params, seed=seed)
 
 
 def preset_names():

@@ -11,6 +11,9 @@ where f* is the convex conjugate of the chi-square divergence base function,
 
 Minimizing L over eta recovers the worst-case risk phi(theta) of that
 objective, so the m-objective problem keeps one dual scalar per objective.
+The chi-square divergence is the only one supported, so f* is a pair of
+plain functions (conjugate_value, conjugate_deriv) and the Lipschitz
+constant of its derivative is the module constant SMOOTHNESS_M.
 This module provides the conjugate, the dual value, its stochastic gradients
 in theta and eta (fused in batch_oracle), the gradients of the rescaled
 objective Lhat(theta, eta) = L(theta, G*sqrt(m)*eta), and exact full-batch
@@ -23,43 +26,26 @@ caller owns sampling and randomness.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-CHI_SQUARE = "chi_square"
+# (f*)' is M-Lipschitz with this M, which feeds the smoothness constants
+# checked in tests (e.g. L0 = G^2*M/lambda + L)
+SMOOTHNESS_M = 0.5
 
 
-class Conjugate:
-    """Convex conjugate f* of an f-divergence base function.
-
-    Only the chi-square divergence is supported. Its conjugate
-    f*(t) = 0.25*(t+2)_+^2 - 1 has derivative 0.5*(t+2)_+, which is
-    nonnegative, nondecreasing, and M-Lipschitz with M = 0.5; that M is
-    stored as ``smoothness_m`` and feeds the smoothness constants used in
-    tests (e.g. L0 = G^2*M/lambda + L).
-    """
-
-    def __init__(self, kind: str = CHI_SQUARE):
-        if kind != CHI_SQUARE:
-            raise ValueError(f"unsupported conjugate kind: {kind!r}")
-        self.kind = kind
-        self.smoothness_m = 0.5
-
-    def __repr__(self):
-        return f"Conjugate(kind={self.kind!r})"
-
-
-def conjugate_value(c: Conjugate, t):
+def conjugate_value(t):
     """f*(t); accepts a scalar or an array, returns the same shape."""
     t = np.asarray(t, dtype=float)
     out = 0.25 * np.square(np.maximum(t + 2.0, 0.0)) - 1.0
     return out.item() if out.ndim == 0 else out
 
 
-def conjugate_deriv(c: Conjugate, t):
-    """(f*)'(t) = 0.5*(t+2)_+; nonnegative and nondecreasing."""
+def conjugate_deriv(t):
+    """(f*)'(t) = 0.5*(t+2)_+; nonnegative, nondecreasing and
+    SMOOTHNESS_M-Lipschitz."""
     t = np.asarray(t, dtype=float)
     out = 0.5 * np.maximum(t + 2.0, 0.0)
     return out.item() if out.ndim == 0 else out
@@ -77,7 +63,6 @@ class DualContext:
     lam: float
     lipschitz_g: float
     num_objectives: int
-    conjugate: Conjugate = field(default_factory=Conjugate)
 
     def __post_init__(self):
         if not 0 < self.lam < math.inf:
@@ -122,7 +107,7 @@ def dual_value(ctx: DualContext, losses, eta_i: float) -> float:
     """lambda * mean_j f*((l_j - eta)/lambda) + eta for one objective."""
     losses = _as_batch(losses)
     t = (losses - eta_i) / ctx.lam
-    return ctx.lam * float(np.mean(conjugate_value(ctx.conjugate, t))) + eta_i
+    return ctx.lam * float(np.mean(conjugate_value(t))) + eta_i
 
 
 def grad_eta(ctx: DualContext, losses, eta_i: float) -> float:
@@ -133,7 +118,7 @@ def grad_eta(ctx: DualContext, losses, eta_i: float) -> float:
     """
     losses = _as_batch(losses)
     t = (losses - eta_i) / ctx.lam
-    return 1.0 - float(np.mean(conjugate_deriv(ctx.conjugate, t)))
+    return 1.0 - float(np.mean(conjugate_deriv(t)))
 
 
 def grad_theta(ctx: DualContext, per_sample_grads, losses, eta_i: float) -> np.ndarray:
@@ -149,7 +134,7 @@ def grad_theta(ctx: DualContext, per_sample_grads, losses, eta_i: float) -> np.n
             f"per-sample gradients shape {grads.shape} does not match "
             f"batch of {losses.shape[0]} losses"
         )
-    wgt = conjugate_deriv(ctx.conjugate, (losses - eta_i) / ctx.lam)  # (B,)
+    wgt = conjugate_deriv((losses - eta_i) / ctx.lam)  # (B,)
     return (wgt[:, None] * grads).mean(axis=0)
 
 

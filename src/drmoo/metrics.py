@@ -91,37 +91,22 @@ def pareto_filter(points):
     return [p for p, k in zip(uniq, keep) if k]
 
 
-def robust_frontier(
-    spec: ToySpec,
-    perturbation_std=None,
-    num_draws: int = 200,
-    lam: float = 1.0,
-    grid=None,
-    seed: int = 0,
-):
-    """Nominal and robust Pareto frontiers of the perturbed toy pair.
+def robust_frontier(spec: ToySpec, num_draws: int = 200, lam: float = 1.0, seed: int = 0):
+    """Nominal and robust Pareto frontiers of the perturbed toy pair on spec.grid.
 
     For every theta on the grid, the nominal values come straight from
     toy_objectives; the robust value of objective k treats the k-th
-    objective's evaluations under the perturbation ensemble as the loss
-    samples of the dual objective and minimizes the dual scalar out exactly.
-    Both point clouds then pass through pareto_filter.
+    objective's evaluations under the perturbation ensemble (scale
+    spec.perturbation_std) as the loss samples of the dual objective and
+    minimizes the dual scalar out exactly. Both point clouds then pass
+    through pareto_filter.
 
     Returns (nominal_frontier, robust_frontier) as FrontierPoint lists. With
     perturbation_std=0 the ensemble is a point mass, the dual of a constant
     sample set is that constant, and the two frontiers coincide.
     """
-    std = spec.perturbation_std if perturbation_std is None else float(perturbation_std)
-    if std < 0:
-        raise ValueError("perturbation std must be nonnegative")
-    grid = np.asarray(spec.grid if grid is None else grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    base = ToySpec(
-        x1=spec.x1, x2=spec.x2, b1=spec.b1, b2=spec.b2,
-        perturbation_std=std, grid=tuple(grid),
-    )
-    specs = perturbation_ensemble(base, num_draws, seed)
+    grid = np.asarray(spec.grid, dtype=float)
+    specs = perturbation_ensemble(spec, num_draws, seed)
     ctx = DualContext(lam=lam, lipschitz_g=1.0, num_objectives=2)
 
     # objective evaluations under every perturbed spec: (num_draws, grid)
@@ -131,7 +116,7 @@ def robust_frontier(
     nominal = []
     robust = []
     for j, theta in enumerate(grid):
-        f1, f2 = toy_objectives(base, float(theta))
+        f1, f2 = toy_objectives(spec, float(theta))
         nominal.append(FrontierPoint(float(theta), (f1, f2)))
         rvals = []
         for draws in (f1_draws[:, j], f2_draws[:, j]):

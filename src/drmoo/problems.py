@@ -151,14 +151,9 @@ class MultiTaskProblem:
             losses = losses + off
         return losses, slopes, x
 
-    def sample_batch(self, i, theta, batch_size, rng, full_batch=False):
+    def sample_batch(self, i, theta, batch_size, rng):
         """Draw a batch uniformly with replacement and evaluate it at theta,
-        as evaluate's (losses, slopes, rows); full_batch=True ignores
-        batch_size and rng and evaluates the whole dataset in order
-        (deterministic full pass).
-        """
-        if full_batch:
-            return self.evaluate(i, theta)
+        as evaluate's (losses, slopes, rows)."""
         if batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {batch_size}")
         return self.evaluate(i, theta, rng.integers(0, self.size(i), size=batch_size))
@@ -205,6 +200,8 @@ class LinearSpec:
     def __post_init__(self):
         if self.dimension < 1 or self.samples < 1:
             raise ValueError("dimension and samples must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if len(self.anchor_scales) != 2 or len(self.anchor_stds) != 2:
             raise ValueError("anchor laws are given for tasks 2 and 3 only")
         if len(self.noise_stds) != 3:
@@ -254,21 +251,16 @@ def quantile_threshold(values, s: float) -> float:
     return float(uniq[k])
 
 
-def load_wine_tasks(path, thresholds=None) -> MultiTaskProblem:
+def load_wine_tasks(path) -> MultiTaskProblem:
     """Three binary tasks over the winequality-white CSV.
 
     The file is semicolon-separated with the canonical UCI header. Each task
-    thresholds one source column (quality 0.5, residual sugar 0.8, alcohol
-    0.1 by default) at its empirical quantile and labels rows by
+    thresholds one source column at its WINE_THRESHOLDS quantile (quality
+    0.5, residual sugar 0.8, alcohol 0.1) and labels rows by
     1(raw >= threshold value). The three source columns are excluded from the
     features to avoid label leakage; the remaining nine columns are z-scored
     and a constant bias feature is appended. Loss is the logistic loss.
     """
-    if thresholds is None:
-        thresholds = dict(WINE_THRESHOLDS)
-    else:
-        # accept underscore spellings of the column names
-        thresholds = {k.replace("_", " "): v for k, v in thresholds.items()}
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"wine CSV not found: {path}")
@@ -278,11 +270,9 @@ def load_wine_tasks(path, thresholds=None) -> MultiTaskProblem:
             header = [h.strip().strip('"') for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}:1: empty file") from None
-        for name in thresholds:
+        for name in WINE_THRESHOLDS:
             if name not in header:
-                raise ValueError(
-                    f"{path}:1: unknown column {name!r}; file has {header}"
-                )
+                raise ValueError(f"{path}:1: missing column {name!r}; file has {header}")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -307,11 +297,11 @@ def load_wine_tasks(path, thresholds=None) -> MultiTaskProblem:
     col = {name: data[:, j] for j, name in enumerate(header)}
 
     labels = []
-    for name, s in thresholds.items():
+    for name, s in WINE_THRESHOLDS.items():
         v = quantile_threshold(col[name], s)
         labels.append((col[name] >= v).astype(float))
 
-    feature_names = [h for h in header if h not in thresholds]
+    feature_names = [h for h in header if h not in WINE_THRESHOLDS]
     feats = np.column_stack([col[h] for h in feature_names])
     mu = feats.mean(axis=0)
     sd = feats.std(axis=0)
@@ -322,7 +312,7 @@ def load_wine_tasks(path, thresholds=None) -> MultiTaskProblem:
         [feats] * len(labels),
         labels,
         LOSS_BCE,
-        meta={"feature_names": feature_names + ["bias"], "thresholds": dict(thresholds)},
+        meta={"feature_names": feature_names + ["bias"]},
     )
 
 

@@ -14,6 +14,10 @@ Four iterations over a MultiTaskProblem, all emitting a RunTrace:
   * run_modo: the same joint step, but the preference update uses two
     independent batches so the gram estimator is unbiased.
 
+SOLVERS maps each name to its run function and default config; the config
+dataclasses' fields and defaults are the hyperparameter schema of
+`drmoo run` config blocks.
+
 Determinism: every random draw comes from a stream keyed by
 (seed, role, objective) through SeedSequence spawn keys, so identical
 (config, problem, seed) reproduce bit-identical traces. A run is strictly
@@ -113,13 +117,13 @@ def _require_finite(cfg):
 
 @dataclass(frozen=True)
 class DoubleLoopConfig:
-    alpha: float  # theta step
-    beta: float  # w step
-    gamma: float  # inner eta step
-    rho: float  # w regularizer
-    T: int  # outer iterations
-    D: int  # inner iterations
-    B: int  # outer batch size
+    alpha: float = 5e-5  # theta step
+    beta: float = 5e-5  # w step
+    gamma: float = 5e-3  # inner eta step
+    rho: float = 1e-5  # w regularizer
+    T: int = 600  # outer iterations
+    D: int = 20  # inner iterations
+    B: int = 256  # outer batch size
     seed: int = 0
 
     def __post_init__(self):
@@ -134,16 +138,16 @@ class DoubleLoopConfig:
 
 @dataclass(frozen=True)
 class DoubleClipConfig:
-    gamma: float  # joint step
-    beta: float  # w step
-    rho: float
-    c1: float  # theta clip cap
-    c2: float  # theta clip threshold
-    f1: float  # eta clip cap
-    f2: float  # eta clip threshold
-    N1: int  # theta-gradient batch size
-    N2: int  # eta-gradient batch size
-    T: int
+    gamma: float = 1e-2  # joint step
+    beta: float = 5e-4  # w step
+    rho: float = 1e-5
+    c1: float = 0.5  # theta clip cap
+    c2: float = 0.1  # theta clip threshold
+    f1: float = 0.5  # eta clip cap
+    f2: float = 0.1  # eta clip threshold
+    N1: int = 256  # theta-gradient batch size
+    N2: int = 256  # eta-gradient batch size
+    T: int = 600
     seed: int = 0
 
     def __post_init__(self):
@@ -162,11 +166,11 @@ class DoubleClipConfig:
 class BaselineConfig:
     """Shared by run_stochastic_mgda and run_modo."""
 
-    lr: float  # joint (theta, eta) step
-    beta: float  # w step
-    rho: float
-    T: int
-    B: int
+    lr: float = 1e-5  # joint (theta, eta) step
+    beta: float = 1e-5  # w step
+    rho: float = 1e-5
+    T: int = 600
+    B: int = 256
     seed: int = 0
 
     def __post_init__(self):
@@ -448,3 +452,13 @@ def run_modo(cfg: BaselineConfig, problem, ctx: DualContext) -> RunTrace:
     preference gram uses a second, independent batch (unbiased product);
     consumes twice the samples per iteration."""
     return _run_joint_baseline(cfg, problem, ctx, double_sampling=True)
+
+
+# solver name -> (run function, config with the defaults of a config block);
+# the config schema and the CLI both read this table
+SOLVERS = {
+    "double_loop": (run_double_loop, DoubleLoopConfig()),
+    "double_clip": (run_double_clip, DoubleClipConfig()),
+    "mgda": (run_stochastic_mgda, BaselineConfig(rho=0.0)),
+    "modo": (run_modo, BaselineConfig()),
+}

@@ -25,6 +25,7 @@ from drmoo.checks import (
 from drmoo.cli import run_experiment
 from drmoo.config import load_preset, parse_config
 from drmoo.dual import (
+    SMOOTHNESS_M,
     DualContext,
     dual_value,
     exact_dual_min,
@@ -177,7 +178,7 @@ def test_criterion_04_semi_smoothness():
     radius = 1.5
     g, lip = box_constants(problem, radius)
     ctx = DualContext(lam=1.0, lipschitz_g=g, num_objectives=2)
-    l0 = g * g * ctx.conjugate.smoothness_m / ctx.lam + lip
+    l0 = g * g * SMOOTHNESS_M / ctx.lam + lip
     slack = np.inf
     for _ in range(500):
         t1 = rng.uniform(-radius, radius, problem.dimension)
@@ -402,11 +403,11 @@ def test_criterion_10_pareto_and_toy_frontier():
 
     grid = np.linspace(-1.0, 3.0, 81)
     nom0, rob0 = robust_frontier(
-        ToySpec(perturbation_std=0.0), num_draws=50, lam=1.0, grid=grid, seed=0
+        ToySpec(perturbation_std=0.0, grid=tuple(grid)), num_draws=50, lam=1.0, seed=0
     )
     coincide = same(nom0, rob0, 1e-9)
     nom5, rob5 = robust_frontier(
-        ToySpec(perturbation_std=0.5), num_draws=100, lam=1.0, grid=grid, seed=0
+        ToySpec(perturbation_std=0.5, grid=tuple(grid)), num_draws=100, lam=1.0, seed=0
     )
     differ = not same(nom5, rob5, 1e-6)
     el = time.perf_counter() - t0

@@ -439,3 +439,52 @@ def test_svg_scatter_counts_and_errors(tmp_path):
         emit_svg_scatter([[(0.0, 0.0)]], ["a", "b"], tmp_path / "s.svg")
     with pytest.raises(ValueError, match="no points"):
         emit_svg_scatter([[], []], ["a", "b"], tmp_path / "s.svg")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pareto-toy", "--lambda", "-1"],
+        ["pareto-toy", "--draws", "0"],
+        ["pareto-toy", "--std", "nan"],
+        ["pareto-toy", "--std", "-1"],
+        ["gen-data", "-1", "out.csv"],
+    ],
+)
+def test_bad_arguments_exit_1_with_one_error_line(workdir, capsys, argv):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(workdir.iterdir()) == []  # no CSV, no SVG, no temp file
+
+
+@pytest.mark.parametrize(
+    "solver, key, value, want",
+    [
+        # common keys: their own line
+        ("mgda", "lambda", "-1", r"line 9: key 'lambda' must be positive, got '-1'"),
+        ("mgda", "toy_std", "-1", r"line 9: key 'toy_std' must be nonnegative, got '-1'"),
+        ("mgda", "toy_draws", "0", r"line 9: key 'toy_draws' must be positive, got '0'"),
+        ("mgda", "data_seed", "-1", r"line 9: key 'data_seed' must be nonnegative, got '-1'"),
+        ("mgda", "seeds", "0,-1", r"line 9: key 'seeds' must be nonnegative, got '0,-1'"),
+        # solver fields: the solver dataclass's check, at the block's line
+        ("mgda", "B", "0", r"line 6: \[run\.bad\]: T and B must be >= 1"),
+        ("double_clip", "B", "0", r"line 6: \[run\.bad\]: N1, N2 and T must be >= 1"),
+        ("mgda", "lr", "-1", r"line 6: \[run\.bad\]: step sizes must be positive"),
+        ("double_clip", "c1", "0", r"line 6: \[run\.bad\]: clip constants must be positive"),
+        ("double_loop", "D", "0", r"line 6: \[run\.bad\]: T, D and B must be >= 1"),
+        ("double_clip", "N1", "0", r"line 6: \[run\.bad\]: N1, N2 and T must be >= 1"),
+        ("modo", "rho", "-1", r"line 6: \[run\.bad\]: rho must be nonnegative"),
+    ],
+)
+def test_bad_block_values_fail_before_any_job(workdir, capsys, solver, key, value, want):
+    text = (
+        "output_dir = out\n[run.ok]\nproblem = toy\nsolver = mgda\nT = 3\n"
+        f"[run.bad]\nproblem = toy\nsolver = {solver}\n{key} = {value}\n"
+    )
+    _write(workdir / "exp.cfg", text)
+    assert cli.main(["run", "exp.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert re.match("error: " + want, err) and err.count("\n") == 1
+    assert list(workdir.iterdir()) == [workdir / "exp.cfg"]  # no trace, no summary

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from drmoo.checks import dual_min_bisect
 from drmoo.dual import (
-    Conjugate,
+    SMOOTHNESS_M,
     DualContext,
     batch_oracle,
     conjugate_deriv,
@@ -34,7 +34,6 @@ from drmoo.problems import (
 
 from conftest import rng
 
-C = Conjugate()
 CTX1 = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=1)
 
 finite_floats = st.floats(-50.0, 50.0, allow_nan=False)
@@ -44,34 +43,29 @@ finite_floats = st.floats(-50.0, 50.0, allow_nan=False)
 
 
 def test_conjugate_spot_values():
-    assert conjugate_value(C, 0.0) == 0.0
-    assert conjugate_value(C, -2.0) == -1.0  # the kink
-    assert conjugate_value(C, 2.0) == 3.0
-    assert conjugate_deriv(C, 0.0) == 1.0
-    assert conjugate_deriv(C, -3.0) == 0.0  # below the kink
-    assert conjugate_deriv(C, 2.0) == 2.0
+    assert conjugate_value(0.0) == 0.0
+    assert conjugate_value(-2.0) == -1.0  # the kink
+    assert conjugate_value(2.0) == 3.0
+    assert conjugate_deriv(0.0) == 1.0
+    assert conjugate_deriv(-3.0) == 0.0  # below the kink
+    assert conjugate_deriv(2.0) == 2.0
 
 
 def test_conjugate_vectorized_shape():
     t = np.array([-3.0, -2.0, 0.0, 2.0])
-    v = conjugate_value(C, t)
+    v = conjugate_value(t)
     assert v.shape == t.shape
     assert np.allclose(v, [-1.0, -1.0, 0.0, 3.0])
-    assert isinstance(conjugate_value(C, 1.0), float)
-
-
-def test_conjugate_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unsupported conjugate kind"):
-        Conjugate("kl")
+    assert isinstance(conjugate_value(1.0), float)
 
 
 @given(finite_floats, finite_floats)
 def test_conjugate_deriv_nondecreasing_and_half_lipschitz(a, b):
-    da, db = conjugate_deriv(C, a), conjugate_deriv(C, b)
+    da, db = conjugate_deriv(a), conjugate_deriv(b)
     assert da >= 0.0
     if a <= b:
         assert da <= db
-    assert abs(da - db) <= C.smoothness_m * abs(a - b) + 1e-12
+    assert abs(da - db) <= SMOOTHNESS_M * abs(a - b) + 1e-12
 
 
 # --- context -----------------------------------------------------------------

@@ -164,23 +164,23 @@ def test_pareto_matches_brute_force_at_scale(size, m, decimals, seed):
 
 
 def test_robust_frontier_zero_std_coincides_with_nominal():
-    spec = ToySpec(grid=tuple(np.linspace(-1, 3, 41)))
-    nominal, robust = robust_frontier(spec, perturbation_std=0.0, num_draws=20)
+    spec = ToySpec(perturbation_std=0.0, grid=tuple(np.linspace(-1, 3, 41)))
+    nominal, robust = robust_frontier(spec, num_draws=20)
     assert [p.theta for p in nominal] == [p.theta for p in robust]
     for a, b in zip(nominal, robust):
         assert a.values == pytest.approx(b.values, abs=1e-9)
 
 
 def test_robust_frontier_two_point_grid():
-    spec = ToySpec(grid=(0.0, 2.0))
-    nominal, _ = robust_frontier(spec, perturbation_std=0.0, num_draws=5)
+    spec = ToySpec(perturbation_std=0.0, grid=(0.0, 2.0))
+    nominal, _ = robust_frontier(spec, num_draws=5)
     # each grid point minimizes one objective, so both survive
     assert [p.theta for p in nominal] == [0.0, 2.0]
 
 
 def test_robust_frontier_perturbation_changes_the_set():
-    spec = ToySpec(grid=tuple(np.linspace(-1, 3, 81)))
-    nominal, robust = robust_frontier(spec, perturbation_std=0.5, num_draws=100, seed=0)
+    spec = ToySpec(perturbation_std=0.5, grid=tuple(np.linspace(-1, 3, 81)))
+    nominal, robust = robust_frontier(spec, num_draws=100, seed=0)
     nom = {p.values for p in nominal}
     rob = {p.values for p in robust}
     assert nom != rob
@@ -205,14 +205,6 @@ def test_robust_frontier_matches_bisection_and_brute_force():
     assert nominal == pareto_brute_force(
         [FrontierPoint(float(t), toy_objectives(spec, float(t))) for t in grid]
     )
-
-
-def test_robust_frontier_validation():
-    spec = ToySpec()
-    with pytest.raises(ValueError, match="nonnegative"):
-        robust_frontier(spec, perturbation_std=-1.0)
-    with pytest.raises(ValueError, match="grid"):
-        robust_frontier(spec, grid=[])
 
 
 # --- trend windows -----------------------------------------------------------

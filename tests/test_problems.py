@@ -144,7 +144,7 @@ def test_offsets_shift_losses_not_gradients():
 
 def test_sample_batch_with_replacement_and_full_batch(small_linear):
     theta = np.zeros(small_linear.dimension)
-    losses, slopes, rows = small_linear.sample_batch(0, theta, 0, None, full_batch=True)
+    losses, slopes, rows = small_linear.evaluate(0, theta)
     ref_losses, ref_grads = small_linear.per_sample(0, theta)
     assert np.array_equal(losses, ref_losses)
     assert rows is small_linear.features[0]  # the full batch is not copied
@@ -299,9 +299,10 @@ def test_wine_loader_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ValueError, match=r"wine\.csv:2: malformed numeric row"):
         load_wine_tasks(path)
 
-    path = _write_wine(tmp_path, [_wine_row(5)])
-    with pytest.raises(ValueError, match=r"wine\.csv:1: unknown column 'vintage'"):
-        load_wine_tasks(path, thresholds={"vintage": 0.5})
+    no_alcohol = ";".join(f'"{c}"' if c != "alcohol" else '"vintage"' for c in WINE_COLUMNS)
+    path = _write_wine(tmp_path, [_wine_row(5)], header=no_alcohol)
+    with pytest.raises(ValueError, match=r"wine\.csv:1: missing column 'alcohol'"):
+        load_wine_tasks(path)
 
     (tmp_path / "empty.csv").write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="empty file"):

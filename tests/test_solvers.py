@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drmoo.dual import DualContext, ObjectiveJacobian, conjugate_deriv, grad_eta, grad_theta
+from drmoo.dual import (
+    SMOOTHNESS_M,
+    DualContext,
+    ObjectiveJacobian,
+    conjugate_deriv,
+    grad_eta,
+    grad_theta,
+)
 from drmoo.metrics import surrogate_stationarity
 from drmoo.problems import (
     LOSS_SQUARED,
@@ -81,9 +88,9 @@ class _ThetaRecorder:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def sample_batch(self, i, theta, batch_size, rng, full_batch=False):
+    def sample_batch(self, i, theta, batch_size, rng):
         self.thetas.append(np.array(theta, copy=True))
-        return self.inner.sample_batch(i, theta, batch_size, rng, full_batch)
+        return self.inner.sample_batch(i, theta, batch_size, rng)
 
 
 # --- config validation -------------------------------------------------------
@@ -274,7 +281,7 @@ def test_full_batch_eta_descent_converges(small_linear):
     # gamma <= lambda/M (the gradient is (M/lambda)-Lipschitz in eta)
     lam = 1.0
     ctx = DualContext(lam=lam, lipschitz_g=1.0, num_objectives=3)
-    gamma = lam / ctx.conjugate.smoothness_m  # the largest safe step
+    gamma = lam / SMOOTHNESS_M  # the largest safe step
     losses = small_linear.per_sample(0, np.zeros(small_linear.dimension))[0]
     eta = 0.0
     last = abs(grad_eta(ctx, losses, eta))
@@ -295,7 +302,7 @@ def _scalar_inner_loop(ctx, lvec, eta, gamma):
     e = eta
     for d in range(lvec.shape[0]):
         traj[d] = e
-        v = 1.0 - conjugate_deriv(ctx.conjugate, (lvec[d] - e) / ctx.lam)
+        v = 1.0 - conjugate_deriv((lvec[d] - e) / ctx.lam)
         e -= gamma * v
     return traj, e
 
