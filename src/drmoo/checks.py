@@ -42,7 +42,7 @@ def _logistic_problem(seed=0, samples=300, dimension=5):
     feats = np.column_stack([x, np.ones(samples)])
     probs = 1.0 / (1.0 + np.exp(-x @ rng.standard_normal(dimension)))
     labels = [(rng.random(samples) < probs).astype(float) for _ in range(2)]
-    return problems.MultiTaskProblem([feats, feats], labels, problems.LOSS_BCE)
+    return problems.MultiTaskProblem(feats, labels, problems.LOSS_BCE)
 
 
 def simplex_projection_oracle(v):
@@ -221,7 +221,7 @@ def _fd_check(problem, seed, grad_eta_fn):
     worst = 0.0
     for _ in range(20):
         i = int(rng.integers(problem.num_objectives))
-        idx = rng.integers(0, problem.size(i), size=32)
+        idx = rng.integers(0, problem.num_samples, size=32)
         for _ in range(200):
             theta = rng.normal(0, 0.5, n)
             eta = float(rng.normal(0, 1))
@@ -267,7 +267,7 @@ def check_rescaled_fd() -> CheckResult:
     h = 1e-6
     worst = 0.0
     for _ in range(20):
-        idx = [rng.integers(0, problem.size(i), size=32) for i in range(m)]
+        idx = [rng.integers(0, problem.num_samples, size=32) for i in range(m)]
         theta = rng.normal(0, 0.5, n)
         eta = rng.normal(0, 0.3, m)
         batches = [problem.per_sample(i, theta, idx[i]) for i in range(m)]
@@ -296,14 +296,10 @@ def box_constants(problem, radius):
     |x.theta - y| <= ||x||_1 * radius + |y| =: r, so ||grad|| <= 2 r ||x||
     and the per-sample Hessian 2 x x^T has norm 2 ||x||^2.
     """
-    g = l = 0.0
-    for i in range(problem.num_objectives):
-        x, y = problem.features[i], problem.labels[i]
-        norms = np.linalg.norm(x, axis=1)
-        r = np.abs(x).sum(axis=1) * radius + np.abs(y)
-        g = max(g, float((2.0 * r * norms).max()))
-        l = max(l, float((2.0 * norms ** 2).max()))
-    return g, l
+    x = problem.features
+    norms = np.linalg.norm(x, axis=1)
+    r = np.abs(x).sum(axis=1) * radius + np.abs(problem.labels)  # (m, N)
+    return float((2.0 * r * norms).max()), float((2.0 * norms ** 2).max())
 
 
 def check_semi_smoothness(pairs=100) -> CheckResult:

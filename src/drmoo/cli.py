@@ -252,16 +252,14 @@ def cmd_gen_data(args) -> int:
         problem = gen_linear(LinearSpec(seed=args.seed))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    x = problem.features[0]
+    x, y = problem.features, problem.labels.T
     out = Path(args.out)
     header = [f"x{j + 1}" for j in range(x.shape[1])]
     header += [f"y{i + 1}" for i in range(problem.num_objectives)]
     with atomic_open(out) as fh:
         fh.write(",".join(header) + "\n")
         for r in range(x.shape[0]):
-            row = [_fmt(v) for v in x[r]]
-            row += [_fmt(y[r]) for y in problem.labels]
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(map(_fmt, [*x[r], *y[r]])) + "\n")
     print(f"wrote {out} ({x.shape[0]} rows)")
     return 0
 

@@ -19,10 +19,10 @@ data_seed, toy_draws, toy_std) and the fields of its solver's config
 dataclass in solvers.SOLVERS, which also supplies the defaults (the
 synthetic-regression settings); double_clip also takes B, which sets N1 and
 N2 when they are not given. Everything is checked while parsing: an unknown
-key or a malformed or out-of-range value fails with its line number, and a
-value the solver's dataclass rejects fails with the block's line number.
-Presets for the two reference experiments ship with the package, see
-preset_names().
+key, a malformed or out-of-range value or a repeated seed fails with its
+line number, and a value the solver's dataclass rejects fails with the
+block's line number. Presets for the two reference experiments ship with
+the package, see preset_names().
 """
 
 import math
@@ -81,7 +81,7 @@ class ExperimentConfig:
 
 def _convert(key, raw, typ, lineno, valid=None):
     """raw as a finite value of typ; valid = (name, test) bounds it (every
-    seed of a seed list)."""
+    seed of a seed list, which must not repeat a seed)."""
     if typ == "auto_or_float" and raw == "auto":
         return raw
     try:
@@ -98,6 +98,9 @@ def _convert(key, raw, typ, lineno, valid=None):
         raise ConfigError(f"line {lineno}: key {key!r} must be finite, got {raw!r}")
     if valid is not None and not all(map(valid[1], items)):
         raise ConfigError(f"line {lineno}: key {key!r} must be {valid[0]}, got {raw!r}")
+    repeats = [s for k, s in enumerate(items) if s in items[:k]]
+    if repeats:
+        raise ConfigError(f"line {lineno}: key {key!r} repeats seed {repeats[0]}")
     return value
 
 

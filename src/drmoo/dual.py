@@ -15,11 +15,12 @@ The chi-square divergence is the only one supported, so f* is a pair of
 plain functions (conjugate_value, conjugate_deriv) and the Lipschitz
 constant of its derivative is the module constant SMOOTHNESS_M.
 This module provides the conjugate, the dual value, its stochastic gradients
-in theta and eta (fused in batch_oracle), the gradients of the rescaled
-objective Lhat(theta, eta) = L(theta, G*sqrt(m)*eta), and exact full-batch
-oracles (the closed-form dual minimizer, robust values and gradients) for
-tests and metrics. Every function taking a loss batch rejects an empty,
-non-1-d or non-finite one, except the solvers' batch_oracle.
+in theta and eta, the gradients of the rescaled objective
+Lhat(theta, eta) = L(theta, G*sqrt(m)*eta), and exact full-batch oracles
+(the closed-form dual minimizer, robust values and gradients) for tests and
+metrics; each takes one objective's loss batch and rejects an empty, non-1-d
+or non-finite one. They are the reference for batch_oracle, the solvers'
+unvalidated fusion of all three for all m objectives on one stacked batch.
 
 All expectations are plug-in empirical means over the supplied batch; the
 caller owns sampling and randomness.
@@ -138,18 +139,21 @@ def grad_theta(ctx: DualContext, per_sample_grads, losses, eta_i: float) -> np.n
     return (wgt[:, None] * grads).mean(axis=0)
 
 
-def batch_oracle(ctx: DualContext, losses, slopes, rows, eta_i: float):
-    """(dual_value, grad_theta, grad_eta) of one objective on one batch.
+def batch_oracle(ctx: DualContext, losses, slopes, rows, etas):
+    """dual_value, grad_theta and grad_eta of all m objectives on one batch:
+    values (m,), theta-gradients (n, m) and eta-gradients (m,).
 
-    The batch is MultiTaskProblem.evaluate's losses l, slopes l' and rows X
-    (sample j's loss gradient is l'_j x_j). The conjugate weights w are formed
-    once, and the theta-gradient is X^T (w o l') / B without (B, n) gradients.
+    The batch is MultiTaskProblem.sample_batch's (m, B) losses l and slopes
+    l' and its rows X, (m, B, n) or one shared (B, n) array; sample j of
+    objective i has loss gradient l'_ij x_ij, and etas holds the m dual
+    scalars. The conjugate weights w are formed once, and column i of the
+    theta-gradients is X_i^T (w_i o l'_i) / B without (B, n) gradients.
     """
-    b = losses.shape[0]
-    u = np.maximum((losses - eta_i) / ctx.lam + 2.0, 0.0)  # (t + 2)_+ = 2 w
-    value = ctx.lam * (0.25 * float(np.dot(u, u)) / b - 1.0) + eta_i
-    theta_grad = np.dot(u * slopes, rows) * (0.5 / b)
-    return value, theta_grad, 1.0 - 0.5 * float(u.sum()) / b
+    b = losses.shape[1]
+    u = np.maximum((losses - etas[:, None]) / ctx.lam + 2.0, 0.0)  # (t + 2)_+ = 2 w
+    values = ctx.lam * (0.25 * (u[:, None, :] @ u[:, :, None])[:, 0, 0] / b - 1.0) + etas
+    theta_grads = ((u * slopes)[:, None, :] @ rows)[:, 0, :].T * (0.5 / b)
+    return values, theta_grads, 1.0 - 0.5 * u.sum(axis=1) / b
 
 
 def rescaled_grads(ctx: DualContext, batches, theta, eta) -> ObjectiveJacobian:

@@ -8,9 +8,10 @@ Three families share one interface:
   * a 1-d bi-objective toy problem whose "dataset" is an ensemble of
     Gaussian perturbations of two parabola anchors.
 
-A MultiTaskProblem owns per-objective datasets and evaluates per-sample
-losses and loss gradients at a given parameter vector; all sampling takes an
-explicit RNG stream, so a job's draws do not depend on which process runs it
+A MultiTaskProblem owns one feature array that its objectives share, plus
+per-objective labels, and evaluates the losses and loss gradients of every
+objective at once on given row indices; the caller draws the indices from
+its own RNG streams, so a job's draws do not depend on which process runs it
 or on what runs beside it. Instances are immutable after construction, which
 lets `drmoo run` share them with its forked workers instead of pickling them.
 
@@ -61,61 +62,55 @@ def sigmoid(z):
 
 
 class MultiTaskProblem:
-    """m objectives over per-objective datasets with a shared parameter.
+    """m objectives over one dataset with a shared parameter.
 
-    features: list of (N_i, n) arrays (tasks may share the same array).
-    labels: list of (N_i,) arrays.
-    offsets: optional list of (N_i,) per-sample additive loss constants;
-    they shift loss values (and hence the dual weighting) but never the
-    loss gradients. Zero when omitted.
+    features: (N, n) array, the rows every objective sees.
+    labels: (m, N) array, row i holds objective i's labels.
+    offsets: optional (m, N) per-sample additive loss constants; they shift
+    loss values (and hence the dual weighting) but never the loss
+    gradients. Zero when omitted.
     """
 
     def __init__(self, features, labels, loss_kind, offsets=None, meta=None):
         if loss_kind not in (LOSS_SQUARED, LOSS_BCE):
             raise ValueError(f"unknown loss kind: {loss_kind!r}")
-        if len(features) != len(labels) or len(features) == 0:
-            raise ValueError("need matching, nonempty feature and label lists")
-        self.features = [np.asarray(x, dtype=float) for x in features]
-        self.labels = [np.asarray(y, dtype=float) for y in labels]
-        dims = {x.shape[1] for x in self.features}
-        if len(dims) != 1:
-            raise ValueError(f"objectives disagree on parameter dimension: {sorted(dims)}")
-        for i, (x, y) in enumerate(zip(self.features, self.labels)):
-            if x.shape[0] != y.shape[0] or x.shape[0] == 0:
-                raise ValueError(f"objective {i}: need N >= 1 rows with matching labels")
-        if offsets is None:
-            self.offsets = [None] * len(self.features)
-        else:
-            self.offsets = [None if o is None else np.asarray(o, dtype=float) for o in offsets]
-            for i, o in enumerate(self.offsets):
-                if o is not None and o.shape != self.labels[i].shape:
-                    raise ValueError(f"objective {i}: offset shape mismatch")
+        x = self.features = np.asarray(features, dtype=float)
+        y = self.labels = np.asarray(labels, dtype=float)
+        self.offsets = None if offsets is None else np.asarray(offsets, dtype=float)
+        if x.ndim != 2 or x.shape[0] == 0:
+            raise ValueError(f"need (N, n) features with N >= 1, got shape {x.shape}")
+        if y.ndim != 2 or y.shape[0] == 0 or y.shape[1:] != x.shape[:1]:
+            raise ValueError(f"need (m, N) labels, m >= 1, N = {x.shape[0]}; got {y.shape}")
+        if self.offsets is not None and self.offsets.shape != y.shape:
+            raise ValueError(f"offset shape {self.offsets.shape} != label shape {y.shape}")
+        # objective i's label of row r sits at flat index r + _row0[i]
+        self._row0 = np.arange(y.shape[0])[:, None] * y.shape[1]
         self.loss_kind = loss_kind
         self.meta = dict(meta) if meta else {}
 
     @property
     def num_objectives(self) -> int:
-        return len(self.features)
+        return self.labels.shape[0]
 
     @property
     def dimension(self) -> int:
-        return self.features[0].shape[1]
+        return self.features.shape[1]
 
-    def size(self, i: int) -> int:
-        return self.features[i].shape[0]
+    @property
+    def num_samples(self) -> int:
+        return self.features.shape[0]
 
     def per_sample(self, i, theta, idx=None):
         """Per-sample losses and loss gradients of objective i at theta.
 
         idx selects dataset rows (any integer index array); None means the
-        full dataset in order. Returns (losses (B,), grads (B, n)).
+        full dataset in order. Returns (losses (B,), grads (B, n)). The
+        independent reference for sample_batch.
         """
-        x = self.features[i]
-        y = self.labels[i]
-        off = self.offsets[i]
+        x, y = self.features, self.labels[i]
+        off = None if self.offsets is None else self.offsets[i]
         if idx is not None:
-            x = x[idx]
-            y = y[idx]
+            x, y = x[idx], y[idx]
             off = None if off is None else off[idx]
         theta = np.asarray(theta, dtype=float)
         z = x @ theta  # (B,)
@@ -131,17 +126,21 @@ class MultiTaskProblem:
             losses = losses + off
         return losses, grads
 
-    def evaluate(self, i, theta, idx=None):
-        """(losses, slopes, rows) of objective i at theta; rows as in per_sample,
-        the stored feature array itself (no copy) when idx is None. Sample j's
-        loss gradient is slopes[j] * rows[j]; offsets shift losses, never slopes.
-        per_sample is the independent reference.
+    def sample_batch(self, theta, idx=None):
+        """(losses, slopes, rows) of every objective at theta from one gather
+        and one matmul. idx is an (m, B) integer array, row i picking
+        objective i's batch, or None for the full dataset. losses and slopes
+        are (m, B); rows are the gathered (m, B, n) rows, or for the full
+        batch the stored (N, n) features themselves (no copy), which every
+        objective shares. Sample j of objective i has loss gradient
+        slopes[i, j] times its row; offsets shift losses, never slopes.
         """
-        x, y, off = self.features[i], self.labels[i], self.offsets[i]
+        x, y, off = self.features, self.labels, self.offsets
         if idx is not None:
-            x, y = x.take(idx, axis=0), y[idx]
-            off = None if off is None else off[idx]
-        z = x @ np.asarray(theta, dtype=float)
+            flat = idx + self._row0
+            x, y = x.take(idx, axis=0), y.take(flat)
+            off = None if off is None else off.take(flat)
+        z = x @ theta
         if self.loss_kind == LOSS_SQUARED:
             r = z - y
             losses, slopes = r * r, 2.0 * r
@@ -151,16 +150,7 @@ class MultiTaskProblem:
             losses = losses + off
         return losses, slopes, x
 
-    def sample_batch(self, i, theta, batch_size, rng):
-        """Draw a batch uniformly with replacement and evaluate it at theta,
-        as evaluate's (losses, slopes, rows)."""
-        if batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {batch_size}")
-        return self.evaluate(i, theta, rng.integers(0, self.size(i), size=batch_size))
-
-    def full_eval(self, theta):
-        """[(losses, slopes, rows)] over the full dataset, one per objective."""
-        return [self.evaluate(i, theta) for i in range(self.num_objectives)]
+    full_eval = sample_batch  # full_eval(theta): the metric-only full batch
 
 
 def estimate_lipschitz(problem: MultiTaskProblem, theta=None) -> float:
@@ -227,9 +217,7 @@ def gen_linear(spec: LinearSpec) -> MultiTaskProblem:
     labels = [
         x @ anchors[i] + spec.noise_stds[i] * rng.standard_normal(big_n) for i in range(3)
     ]
-    return MultiTaskProblem(
-        [x, x, x], labels, LOSS_SQUARED, meta={"true_params": anchors, "spec": spec}
-    )
+    return MultiTaskProblem(x, labels, LOSS_SQUARED, meta={"true_params": anchors, "spec": spec})
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +297,7 @@ def load_wine_tasks(path) -> MultiTaskProblem:
     feats = (feats - mu) / sd
     feats = np.column_stack([feats, np.ones(feats.shape[0])])  # bias column
     return MultiTaskProblem(
-        [feats] * len(labels),
-        labels,
-        LOSS_BCE,
-        meta={"feature_names": feature_names + ["bias"]},
+        feats, labels, LOSS_BCE, meta={"feature_names": feature_names + ["bias"]}
     )
 
 
@@ -445,15 +430,8 @@ def toy_problem(spec: ToySpec, num_draws: int = 200, seed: int = 0) -> MultiTask
     with unit feature, label x1_j, and additive offset b1_j.
     """
     specs = perturbation_ensemble(spec, num_draws, seed)
-    ones = np.ones((num_draws, 1))
-    labels = [
-        np.array([s.x1 for s in specs]),
-        np.array([s.x2 for s in specs]),
-    ]
-    offsets = [
-        np.array([s.b1 for s in specs]),
-        np.array([s.b2 for s in specs]),
-    ]
+    labels = [[s.x1 for s in specs], [s.x2 for s in specs]]
+    offsets = [[s.b1 for s in specs], [s.b2 for s in specs]]
     return MultiTaskProblem(
-        [ones, ones], labels, LOSS_SQUARED, offsets=offsets, meta={"spec": spec}
+        np.ones((num_draws, 1)), labels, LOSS_SQUARED, offsets=offsets, meta={"spec": spec}
     )

@@ -4,38 +4,40 @@ Preference vectors w live on the simplex {w : w >= 0, sum w = 1}; every
 solver iteration ends with a Euclidean projection back onto it.
 """
 
-import numpy as np
+import math
 
+import numpy as np
 
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection of v onto the probability simplex.
 
     Sort-and-threshold method: sort descending, find the largest j with
     u_j - (sum_{i<=j} u_i - 1)/j > 0, subtract that threshold, clamp at 0.
-    O(m log m), exact, idempotent.
+    O(m log m), exact, idempotent. It runs in Python floats: for the handful
+    of objectives a solver has, a few scalar operations cost less than
+    numpy's per-call overhead.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("cannot project an empty vector onto the simplex")
-    if not np.all(np.isfinite(v)):
+    vals = v.tolist()
+    if not all(map(math.isfinite, vals)):
         raise ValueError(f"cannot project a non-finite vector: {v}")
-    u = np.sort(v, kind="stable")[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
+    css, tau = 0.0, None
+    for j, x in enumerate(sorted(vals, reverse=True), start=1):
+        css += x
+        if x - (css - 1.0) / j > 0.0:
+            tau = (css - 1.0) / j
+    if tau is not None:
+        return np.array([x - tau if x > tau else 0.0 for x in vals])
     # j=1 qualifies (u_1 - (u_1 - 1)/1 = 1 > 0) except when |u_1| is so large
-    # that u_1 - 1 rounds back to u_1 (magnitudes around 2^53 and beyond)
-    cand = np.nonzero(u - (css - 1.0) / j > 0.0)[0]
-    if cand.size == 0:
-        # shift by the max (projection is invariant along the all-ones
-        # direction) and clamp: the threshold root satisfies tau >= max(v) - 1,
-        # so entries more than 1 below the max project to 0 regardless and the
-        # clamp at -2 is exact; after the shift the max is 0 and the candidate
-        # set is nonempty
-        with np.errstate(over="ignore"):  # the clamp absorbs -inf
-            return project_simplex(np.maximum(v - u[0], -2.0))
-    rho = cand[-1]
-    tau = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
+    # that u_1 - 1 rounds back to u_1 (magnitudes around 2^53 and beyond):
+    # shift by the max (projection is invariant along the all-ones direction)
+    # and clamp. The threshold root satisfies tau >= max(v) - 1, so entries
+    # more than 1 below the max project to 0 regardless and the clamp at -2 is
+    # exact; after the shift the max is 0 and the candidate set is nonempty
+    with np.errstate(over="ignore"):  # the clamp absorbs -inf
+        return project_simplex(np.maximum(v - v.max(), -2.0))
 
 
 def uniform_preference(m: int) -> np.ndarray:

@@ -20,8 +20,10 @@ dataclasses' fields and defaults are the hyperparameter schema of
 
 Determinism: every random draw comes from a stream keyed by
 (seed, role, objective) through SeedSequence spawn keys, so identical
-(config, problem, seed) reproduce bit-identical traces. A run is strictly
-sequential and keeps its state in local variables.
+(config, problem, seed) reproduce bit-identical traces. Each stream draws
+DRAW_CHUNK steps of indices per call, and a block of c steps holds the
+values of c per-step draws (tests pin this), so the chunk changes no trace.
+A run is strictly sequential and keeps its state in local variables.
 """
 
 import math
@@ -30,9 +32,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dual import DualContext, ObjectiveJacobian, batch_oracle, grad_eta
+from .dual import DualContext, ObjectiveJacobian, batch_oracle
 # benchmarks/spans.py wraps these names in this namespace
-from .dual import conjugate_deriv, dual_value, grad_theta  # noqa: F401
+from .dual import conjugate_deriv, dual_value, grad_eta, grad_theta  # noqa: F401
 from .metrics import surrogate_stationarity
 from .simplex import project_simplex, uniform_preference
 
@@ -48,6 +50,10 @@ ROLE_JOINT_A = 7
 ROLE_JOINT_B = 8
 
 SURROGATE_EVERY = 10  # full-batch stationarity surrogate cadence, in iterations
+
+# steps of indices each stream draws per call: the double loop's nine batch
+# streams then hold 50 * 9 * 256 int64 indices (0.9 MB) at B = 256
+DRAW_CHUNK = 50
 
 
 def make_stream(seed: int, role: int, objective: int) -> np.random.Generator:
@@ -226,21 +232,23 @@ class _TraceBuilder:
 
 
 def _check_finite(t, builder, *arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise SolverDivergence(t, builder.build())
+    if not np.isfinite(np.concatenate(arrays)).all():
+        raise SolverDivergence(t, builder.build())
 
 
-def _draw(problem, theta, size, streams):
-    """One fresh batch per objective at theta, objective i from streams[i]."""
-    return [problem.sample_batch(i, theta, size, rng) for i, rng in enumerate(streams)]
+def _index_steps(seed, role, m, high, size, steps):
+    """The (m, size) index arrays of `steps` steps of one role, row i drawn
+    uniformly from {0..high-1} by stream (seed, role, i), DRAW_CHUNK steps
+    per call."""
+    streams = [make_stream(seed, role, i) for i in range(m)]
+    for start in range(0, steps, DRAW_CHUNK):
+        c = min(DRAW_CHUNK, steps - start)
+        yield from np.stack([rng.integers(0, high, size=(c, size)) for rng in streams], axis=1)
 
 
-def _oracle(ctx, batches, etas):
-    """batch_oracle on batches[i] at etas[i] for every objective: dual values
-    (m,), theta-gradient columns (n, m) and eta-gradients (m,)."""
-    values, cols, egr = zip(*(batch_oracle(ctx, *b, e) for b, e in zip(batches, etas)))
-    return np.array(values), np.array(cols).T, np.array(egr)
+def _oracle(ctx, problem, theta, steps, etas):
+    """batch_oracle at theta and etas on the next stacked batch of steps."""
+    return batch_oracle(ctx, *problem.sample_batch(theta, next(steps)), etas)
 
 
 def inner_eta_descent(losses, eta, gamma, lam):
@@ -256,7 +264,7 @@ def inner_eta_descent(losses, eta, gamma, lam):
 
 def _full_surrogate(problem, ctx, theta, eta_eff, w) -> float:
     """Full-batch stationarity surrogate at (theta, eta_eff) and w."""
-    _, cols, egr = _oracle(ctx, problem.full_eval(theta), eta_eff)
+    _, cols, egr = batch_oracle(ctx, *problem.full_eval(theta), eta_eff)
     return surrogate_stationarity(ObjectiveJacobian(cols, egr), w, ctx.lipschitz_g)
 
 
@@ -287,11 +295,12 @@ def run_double_loop(cfg: DoubleLoopConfig, problem, ctx: DualContext) -> RunTrac
     theta = np.zeros(n)
     eta = np.zeros(m)
     w = uniform_preference(m)
-    inner = [make_stream(cfg.seed, ROLE_INNER, i) for i in range(m)]
-    ybat = [make_stream(cfg.seed, ROLE_Y, i) for i in range(m)]
-    ybarbat = [make_stream(cfg.seed, ROLE_YBAR, i) for i in range(m)]
-    ytilbat = [make_stream(cfg.seed, ROLE_YTILDE, i) for i in range(m)]
-    index_rng = make_stream(cfg.seed, ROLE_INDEX, 0)
+    big_n = problem.num_samples
+    inner = _index_steps(cfg.seed, ROLE_INNER, m, big_n, cfg.D, cfg.T)
+    ybat = _index_steps(cfg.seed, ROLE_Y, m, big_n, cfg.B, cfg.T)
+    ybarbat = _index_steps(cfg.seed, ROLE_YBAR, m, big_n, cfg.B, cfg.T)
+    ytilbat = _index_steps(cfg.seed, ROLE_YTILDE, m, big_n, cfg.B, cfg.T)
+    triples = _index_steps(cfg.seed, ROLE_INDEX, 1, cfg.D, 3, cfg.T)
 
     builder = _TraceBuilder(cfg.T, m)
     samples = 0
@@ -300,19 +309,18 @@ def run_double_loop(cfg: DoubleLoopConfig, problem, ctx: DualContext) -> RunTrac
         # (a) inner dual descent, one fresh sample per step per objective; the
         # final iterate warm-starts the next outer iteration
         traj = np.empty((m, cfg.D))
+        losses = problem.sample_batch(theta, next(inner))[0].tolist()
         for i in range(m):
-            idx = inner[i].integers(0, problem.size(i), size=cfg.D)
-            losses = problem.evaluate(i, theta, idx)[0].tolist()
-            traj[i], eta[i] = inner_eta_descent(losses, float(eta[i]), cfg.gamma, ctx.lam)
+            traj[i], eta[i] = inner_eta_descent(losses[i], float(eta[i]), cfg.gamma, ctx.lam)
         samples += m * cfg.D
 
         # (b) trajectory indices, one triple shared across objectives
-        d_y, d_bar, d_til = index_rng.integers(0, cfg.D, size=3)
+        d_y, d_bar, d_til = next(triples)[0]
 
         # (c) three independent batch estimators
-        loss_log, y_mat, _ = _oracle(ctx, _draw(problem, theta, cfg.B, ybat), traj[:, d_y])
-        _, ybar_mat, _ = _oracle(ctx, _draw(problem, theta, cfg.B, ybarbat), traj[:, d_bar])
-        _, ytil_mat, _ = _oracle(ctx, _draw(problem, theta, cfg.B, ytilbat), traj[:, d_til])
+        loss_log, y_mat, _ = _oracle(ctx, problem, theta, ybat, traj[:, d_y])
+        _, ybar_mat, _ = _oracle(ctx, problem, theta, ybarbat, traj[:, d_bar])
+        _, ytil_mat, _ = _oracle(ctx, problem, theta, ytilbat, traj[:, d_til])
         samples += 3 * cfg.B * m
 
         direction = y_mat @ w
@@ -353,8 +361,8 @@ def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> RunTrac
     theta = np.zeros(n)
     eta = np.zeros(m)
     w = uniform_preference(m)
-    zbat = [make_stream(cfg.seed, ROLE_Z, i) for i in range(m)]
-    xbat = [make_stream(cfg.seed, ROLE_X, i) for i in range(m)]
+    zbat = _index_steps(cfg.seed, ROLE_Z, m, problem.num_samples, cfg.N2, cfg.T)
+    xbat = _index_steps(cfg.seed, ROLE_X, m, problem.num_samples, cfg.N1, cfg.T)
 
     builder = _TraceBuilder(cfg.T, m)
     diag = {
@@ -365,11 +373,10 @@ def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> RunTrac
     samples = 0
     surrogate = np.nan
     for t in range(cfg.T):
-        # eta block at eta_t: only the losses of these batches are read
-        z_vec = scale * np.array([
-            grad_eta(ctx, batch[0], scale * eta_i)
-            for batch, eta_i in zip(_draw(problem, theta, cfg.N2, zbat), eta)
-        ])
+        # eta block at eta_t: grad_eta of every objective, from the losses only
+        z_losses = problem.sample_batch(theta, next(zbat))[0]
+        u = np.maximum((z_losses - (scale * eta)[:, None]) / ctx.lam + 2.0, 0.0)
+        z_vec = scale * (1.0 - np.mean(0.5 * u, axis=1))
         zw = z_vec * w
         zw_norm = float(np.linalg.norm(zw))
         mu = cfg.f1 if zw_norm == 0.0 else min(cfg.f1, cfg.f2 / zw_norm)
@@ -377,7 +384,7 @@ def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> RunTrac
         samples += m * cfg.N2
 
         # theta block at the fresh dual iterate
-        loss_log, x_mat, _ = _oracle(ctx, _draw(problem, theta, cfg.N1, xbat), scale * eta_next)
+        loss_log, x_mat, _ = _oracle(ctx, problem, theta, xbat, scale * eta_next)
         xw = x_mat @ w
         xw_norm = float(np.linalg.norm(xw))
         alpha = cfg.c1 if xw_norm == 0.0 else min(cfg.c1, cfg.c2 / xw_norm)
@@ -409,17 +416,17 @@ def _run_joint_baseline(cfg: BaselineConfig, problem, ctx, double_sampling: bool
     theta = np.zeros(n)
     eta = np.zeros(m)
     w = uniform_preference(m)
-    abat = [make_stream(cfg.seed, ROLE_JOINT_A, i) for i in range(m)]
-    bbat = [make_stream(cfg.seed, ROLE_JOINT_B, i) for i in range(m)] if double_sampling else None
+    abat = _index_steps(cfg.seed, ROLE_JOINT_A, m, problem.num_samples, cfg.B, cfg.T)
+    bbat = _index_steps(cfg.seed, ROLE_JOINT_B, m, problem.num_samples, cfg.B, cfg.T)
 
     builder = _TraceBuilder(cfg.T, m)
     samples = 0
     surrogate = np.nan
     for t in range(cfg.T):
-        loss_log, ja, ga = _oracle(ctx, _draw(problem, theta, cfg.B, abat), eta)
+        loss_log, ja, ga = _oracle(ctx, problem, theta, abat, eta)
         samples += m * cfg.B
         if double_sampling:
-            _, jb, gb = _oracle(ctx, _draw(problem, theta, cfg.B, bbat), eta)
+            _, jb, gb = _oracle(ctx, problem, theta, bbat, eta)
             samples += m * cfg.B
         else:
             jb, gb = ja, ga

@@ -23,4 +23,4 @@ def small_logistic() -> MultiTaskProblem:
     x = np.column_stack([g.standard_normal((150, 4)), np.ones(150)])
     probs = 1.0 / (1.0 + np.exp(-x[:, :4] @ g.standard_normal(4)))
     labels = [(g.random(150) < probs).astype(float) for _ in range(2)]
-    return MultiTaskProblem([x, x], labels, LOSS_BCE)
+    return MultiTaskProblem(x, labels, LOSS_BCE)

@@ -114,7 +114,7 @@ def _logistic_instance(seed=0, samples=300, dimension=5):
     feats = np.column_stack([x, np.ones(samples)])
     probs = 1.0 / (1.0 + np.exp(-x @ rng.standard_normal(dimension)))
     labels = [(rng.random(samples) < probs).astype(float) for _ in range(2)]
-    return MultiTaskProblem([feats, feats], labels, LOSS_BCE)
+    return MultiTaskProblem(feats, labels, LOSS_BCE)
 
 
 def _fd_sweep(problem, seed, points=100, h=1e-6):
@@ -126,7 +126,7 @@ def _fd_sweep(problem, seed, points=100, h=1e-6):
     accepted = 0
     while accepted < points:
         i = int(rng.integers(problem.num_objectives))
-        idx = rng.integers(0, problem.size(i), size=32)
+        idx = rng.integers(0, problem.num_samples, size=32)
         for _ in range(200):
             theta = rng.normal(0.0, 0.5, n)
             eta = float(rng.normal(0.0, 1.0))
@@ -174,20 +174,21 @@ def test_criterion_04_semi_smoothness():
     rng = np.random.default_rng(104)
     feats = [rng.standard_normal((150, 4)) for _ in range(2)]
     labels = [rng.normal(0.0, 2.0, 150) for _ in range(2)]
-    problem = MultiTaskProblem(feats, labels, LOSS_SQUARED)
+    # each task has its own rows, so each is a one-objective problem
+    tasks = [MultiTaskProblem(x, [y], LOSS_SQUARED) for x, y in zip(feats, labels)]
     radius = 1.5
-    g, lip = box_constants(problem, radius)
+    g, lip = np.max([box_constants(task, radius) for task in tasks], axis=0)
     ctx = DualContext(lam=1.0, lipschitz_g=g, num_objectives=2)
     l0 = g * g * SMOOTHNESS_M / ctx.lam + lip
     slack = np.inf
     for _ in range(500):
-        t1 = rng.uniform(-radius, radius, problem.dimension)
-        t2 = rng.uniform(-radius, radius, problem.dimension)
+        t1 = rng.uniform(-radius, radius, 4)
+        t2 = rng.uniform(-radius, radius, 4)
         dist = float(np.linalg.norm(t1 - t2))
-        for i in range(2):
-            losses1, grads1 = problem.per_sample(i, t1)
+        for task in tasks:
+            losses1, grads1 = task.per_sample(0, t1)
             eta_star = exact_dual_min(ctx, losses1)
-            losses2, grads2 = problem.per_sample(i, t2)
+            losses2, grads2 = task.per_sample(0, t2)
             moved = (
                 grad_theta(ctx, grads1, losses1, eta_star)
                 - grad_theta(ctx, grads2, losses2, eta_star)
@@ -333,9 +334,9 @@ class _ThetaTap:
         self._inner = inner
         self.thetas = []
 
-    def sample_batch(self, i, theta, batch, rng):
+    def sample_batch(self, theta, idx=None):
         self.thetas.append(np.array(theta, copy=True))
-        return self._inner.sample_batch(i, theta, batch, rng)
+        return self._inner.sample_batch(theta, idx)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -352,8 +353,9 @@ def test_criterion_09_double_clip_step_caps():
     tr = run_double_clip(cfg, tap, ctx)
 
     m = problem.num_objectives
-    assert len(tap.thetas) == 2 * m * cfg.T
-    groups = [tap.thetas[2 * m * t: 2 * m * (t + 1)] for t in range(cfg.T)]
+    # one stacked sample for the Z block and one for the X block per step
+    assert len(tap.thetas) == 2 * cfg.T
+    groups = [tap.thetas[2 * t: 2 * (t + 1)] for t in range(cfg.T)]
     same_within = all(np.array_equal(g[0], gk) for g in groups for gk in g)
     observed = np.array([g[0] for g in groups])  # (T, n) thetas entering each step
     dtheta = np.linalg.norm(np.diff(observed, axis=0), axis=1)

@@ -468,6 +468,7 @@ def test_bad_arguments_exit_1_with_one_error_line(workdir, capsys, argv):
         ("mgda", "toy_draws", "0", r"line 9: key 'toy_draws' must be positive, got '0'"),
         ("mgda", "data_seed", "-1", r"line 9: key 'data_seed' must be nonnegative, got '-1'"),
         ("mgda", "seeds", "0,-1", r"line 9: key 'seeds' must be nonnegative, got '0,-1'"),
+        ("mgda", "seeds", "0,1,0", r"line 9: key 'seeds' repeats seed 0"),
         # solver fields: the solver dataclass's check, at the block's line
         ("mgda", "B", "0", r"line 6: \[run\.bad\]: T and B must be >= 1"),
         ("double_clip", "B", "0", r"line 6: \[run\.bad\]: N1, N2 and T must be >= 1"),

@@ -185,7 +185,7 @@ def test_gradients_match_finite_differences(small_linear):
     h = 1e-6
     for _ in range(10):
         i = int(g.integers(3))
-        idx = g.integers(0, small_linear.size(i), size=16)
+        idx = g.integers(0, small_linear.num_samples, size=16)
         theta = g.normal(0, 0.5, small_linear.dimension)
         eta = float(g.normal(0, 1))
         losses, grads = small_linear.per_sample(i, theta, idx)
@@ -308,35 +308,43 @@ def oracle_problems(tmp_path_factory):
 @given(
     kind=st.sampled_from(["squared", "logistic", "toy"]),
     lam=st.sampled_from([0.5, 1.0, 2.0]),
-    clamp_at=st.floats(-0.25, 1.25),
     data=st.data(),
 )
-def test_batch_oracle_matches_reference(oracle_problems, kind, lam, clamp_at, data):
+def test_batch_oracle_matches_reference(oracle_problems, kind, lam, data):
+    # all m objectives in one stacked call against the per-objective reference
     problem = oracle_problems[kind]
-    ctx = DualContext(lam=lam, lipschitz_g=1.0, num_objectives=problem.num_objectives)
-    i = data.draw(st.integers(0, problem.num_objectives - 1), label="objective")
-    theta = np.array(data.draw(
-        st.lists(st.floats(-2.0, 2.0), min_size=problem.dimension, max_size=problem.dimension),
-        label="theta",
-    ))
+    m, n = problem.num_objectives, problem.dimension
+    ctx = DualContext(lam=lam, lipschitz_g=1.0, num_objectives=m)
+    theta = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n),
+                               label="theta"))
     if data.draw(st.booleans(), label="full batch"):
         idx = None
-    else:  # a few distinct rows, each possibly drawn many times
-        rows = st.integers(0, problem.size(i) - 1)
-        pool = data.draw(st.lists(rows, min_size=1, max_size=6), label="rows")
-        idx = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=64)))
-    losses, grads = problem.per_sample(i, theta, idx)
+    else:  # per objective a few distinct rows, each possibly drawn many times
+        b = data.draw(st.integers(1, 64), label="batch size")
+        rows = st.lists(st.integers(0, problem.num_samples - 1), min_size=1, max_size=6)
+        idx = np.array([
+            data.draw(st.lists(st.sampled_from(data.draw(rows, label=f"rows {i}")),
+                               min_size=b, max_size=b), label=f"batch {i}")
+            for i in range(m)
+        ])
+    refs = [problem.per_sample(i, theta, None if idx is None else idx[i]) for i in range(m)]
     # (t + 2)_+ clamps sample j once eta >= l_j + 2*lambda: between the
     # smallest and largest of those the clamp holds for part of the batch
-    lo, hi = losses.min() + 2 * lam, losses.max() + 2 * lam
-    eta = float(lo + clamp_at * (hi - lo))
+    clamp_at = data.draw(st.lists(st.floats(-0.25, 1.25), min_size=m, max_size=m),
+                         label="clamp at")
+    etas = np.empty(m)
+    for i, (losses, _) in enumerate(refs):
+        lo, hi = losses.min() + 2 * lam, losses.max() + 2 * lam
+        etas[i] = lo + clamp_at[i] * (hi - lo)
 
-    batch = problem.evaluate(i, theta, idx)
-    assert np.array_equal(batch[0], losses)
-    value, theta_grad, eta_grad = batch_oracle(ctx, *batch, eta)
-    assert_matches_reference(value, dual_value(ctx, losses, eta))
-    assert_matches_reference(theta_grad, grad_theta(ctx, grads, losses, eta))
-    assert_matches_reference(eta_grad, grad_eta(ctx, losses, eta))
+    batch = problem.sample_batch(theta, idx)
+    values, theta_grads, eta_grads = batch_oracle(ctx, *batch, etas)
+    assert (values.shape, theta_grads.shape, eta_grads.shape) == ((m,), (n, m), (m,))
+    for i, (losses, grads) in enumerate(refs):
+        assert np.array_equal(batch[0][i], losses)
+        assert_matches_reference(values[i], dual_value(ctx, losses, etas[i]))
+        assert_matches_reference(theta_grads[:, i], grad_theta(ctx, grads, losses, etas[i]))
+        assert_matches_reference(eta_grads[i], grad_eta(ctx, losses, etas[i]))
 
 
 # --- exact dual minimizer ----------------------------------------------------
@@ -403,11 +411,7 @@ def test_exact_dual_min_empty_batch():
 
 def test_phi_single_sample_equals_loss():
     # one sample per objective: eta* = ell, so phi = ell
-    problem = MultiTaskProblem(
-        [np.array([[1.0]]), np.array([[1.0]])],
-        [np.array([0.5]), np.array([-1.0])],
-        LOSS_SQUARED,
-    )
+    problem = MultiTaskProblem(np.array([[1.0]]), [[0.5], [-1.0]], LOSS_SQUARED)
     ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=2)
     theta = np.array([2.0])
     values, jac = phi_oracle(ctx, problem, theta)
@@ -421,7 +425,7 @@ def test_phi_constant_losses_give_mean_gradient():
     # shared per-sample gradient
     x = np.full((3, 1), 2.0)
     y = np.full(3, 1.0)
-    problem = MultiTaskProblem([x], [y], LOSS_SQUARED)
+    problem = MultiTaskProblem(x, [y], LOSS_SQUARED)
     ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=1)
     values, jac = phi_oracle(ctx, problem, np.array([1.0]))
     assert values[0] == pytest.approx(1.0, abs=1e-9)  # (2*1 - 1)^2
@@ -432,7 +436,7 @@ def test_phi_two_sample_dual_value():
     # losses {0, 2} at theta=0: eta* = 1, phi = 1.25
     x = np.array([[0.0], [0.0]])
     y = np.array([0.0, math.sqrt(2.0)])
-    problem = MultiTaskProblem([x], [y], LOSS_SQUARED)
+    problem = MultiTaskProblem(x, [y], LOSS_SQUARED)
     ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=1)
     values, _ = phi_oracle(ctx, problem, np.array([0.0]))
     assert values[0] == pytest.approx(1.25, abs=1e-9)

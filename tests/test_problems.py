@@ -38,24 +38,24 @@ from conftest import rng
 
 def test_problem_validation():
     with pytest.raises(ValueError, match="unknown loss kind"):
-        MultiTaskProblem([np.ones((2, 1))], [np.ones(2)], "hinge")
-    with pytest.raises(ValueError, match="nonempty"):
-        MultiTaskProblem([], [], LOSS_SQUARED)
-    with pytest.raises(ValueError, match="disagree on parameter dimension"):
-        MultiTaskProblem(
-            [np.ones((2, 1)), np.ones((2, 2))], [np.ones(2), np.ones(2)], LOSS_SQUARED
-        )
-    with pytest.raises(ValueError, match="matching labels"):
-        MultiTaskProblem([np.ones((2, 1))], [np.ones(3)], LOSS_SQUARED)
+        MultiTaskProblem(np.ones((2, 1)), [np.ones(2)], "hinge")
+    with pytest.raises(ValueError, match=r"need \(N, n\) features with N >= 1"):
+        MultiTaskProblem(np.ones((0, 1)), np.ones((1, 0)), LOSS_SQUARED)
+    with pytest.raises(ValueError, match=r"need \(N, n\) features"):
+        MultiTaskProblem(np.ones(2), [np.ones(2)], LOSS_SQUARED)
+    with pytest.raises(ValueError, match=r"need \(m, N\) labels, m >= 1, N = 2; got \(1, 3\)"):
+        MultiTaskProblem(np.ones((2, 1)), [np.ones(3)], LOSS_SQUARED)
+    with pytest.raises(ValueError, match=r"N = 2; got \(2,\)"):
+        MultiTaskProblem(np.ones((2, 1)), np.ones(2), LOSS_SQUARED)
+    with pytest.raises(ValueError, match=r"N = 2; got \(0, 2\)"):
+        MultiTaskProblem(np.ones((2, 1)), np.ones((0, 2)), LOSS_SQUARED)
     with pytest.raises(ValueError, match="offset shape"):
-        MultiTaskProblem(
-            [np.ones((2, 1))], [np.ones(2)], LOSS_SQUARED, offsets=[np.ones(3)]
-        )
+        MultiTaskProblem(np.ones((2, 1)), [np.ones(2)], LOSS_SQUARED, offsets=[np.ones(3)])
 
 
 def test_squared_error_values_and_gradients():
     # loss (x.theta - y)^2 with no 1/2 factor; gradient 2(x.theta - y)x
-    p = MultiTaskProblem([np.array([[2.0, 0.0]])], [np.array([1.0])], LOSS_SQUARED)
+    p = MultiTaskProblem(np.array([[2.0, 0.0]]), [np.array([1.0])], LOSS_SQUARED)
     losses, grads = p.per_sample(0, np.array([1.0, 5.0]))
     assert losses == pytest.approx([1.0])
     assert grads[0] == pytest.approx([4.0, 0.0])
@@ -63,7 +63,7 @@ def test_squared_error_values_and_gradients():
 
 def test_logistic_single_sample_example():
     # x = 0 with bias 1, y = 1, theta = 0: loss ln 2, gradient -0.5 * x
-    p = MultiTaskProblem([np.array([[0.0, 1.0]])], [np.array([1.0])], LOSS_BCE)
+    p = MultiTaskProblem(np.array([[0.0, 1.0]]), [np.array([1.0])], LOSS_BCE)
     losses, grads = p.per_sample(0, np.zeros(2))
     assert losses[0] == pytest.approx(math.log(2.0), abs=1e-12)
     assert grads[0] == pytest.approx([0.0, -0.5], abs=1e-12)
@@ -104,7 +104,7 @@ def test_per_sample_gradients_match_finite_differences(small_linear, small_logis
     for problem in (small_linear, small_logistic):
         for _ in range(10):
             i = int(g.integers(problem.num_objectives))
-            j = int(g.integers(problem.size(i)))
+            j = int(g.integers(problem.num_samples))
             theta = g.normal(0, 0.5, problem.dimension)
             _, grads = problem.per_sample(i, theta, np.array([j]))
             for k in range(problem.dimension):
@@ -133,8 +133,8 @@ def test_logistic_loss_is_convex_along_segments(small_logistic):
 def test_offsets_shift_losses_not_gradients():
     x = np.array([[1.0], [1.0]])
     y = np.array([0.0, 0.0])
-    plain = MultiTaskProblem([x], [y], LOSS_SQUARED)
-    shifted = MultiTaskProblem([x], [y], LOSS_SQUARED, offsets=[np.array([1.0, -2.0])])
+    plain = MultiTaskProblem(x, [y], LOSS_SQUARED)
+    shifted = MultiTaskProblem(x, [y], LOSS_SQUARED, offsets=[np.array([1.0, -2.0])])
     theta = np.array([3.0])
     l0, g0 = plain.per_sample(0, theta)
     l1, g1 = shifted.per_sample(0, theta)
@@ -143,20 +143,26 @@ def test_offsets_shift_losses_not_gradients():
 
 
 def test_sample_batch_with_replacement_and_full_batch(small_linear):
-    theta = np.zeros(small_linear.dimension)
-    losses, slopes, rows = small_linear.evaluate(0, theta)
-    ref_losses, ref_grads = small_linear.per_sample(0, theta)
-    assert np.array_equal(losses, ref_losses)
-    assert rows is small_linear.features[0]  # the full batch is not copied
-    assert np.array_equal(slopes[:, None] * rows, ref_grads)
+    theta = rng(4).normal(0, 0.5, small_linear.dimension)
+    losses, slopes, rows = small_linear.full_eval(theta)
+    assert rows is small_linear.features  # the full batch is not copied
+    assert losses.shape == slopes.shape == (3, 200)
+    for i in range(3):
+        ref_losses, ref_grads = small_linear.per_sample(i, theta)
+        assert np.array_equal(losses[i], ref_losses)
+        assert np.array_equal(slopes[i][:, None] * rows, ref_grads)
 
-    with pytest.raises(ValueError, match="batch size"):
-        small_linear.sample_batch(0, theta, 0, rng(0))
-
-    a = small_linear.sample_batch(0, theta, 500, rng(5))[0]
-    b = small_linear.sample_batch(0, theta, 500, rng(5))[0]
-    assert np.array_equal(a, b)  # same stream, same draw
-    assert a.shape == (500,)  # larger than the dataset: with replacement
+    # each objective gathers its own rows; 500 draws exceed the dataset, so
+    # rows repeat (drawn with replacement)
+    idx = rng(5).integers(0, small_linear.num_samples, size=(3, 500))
+    losses, slopes, rows = small_linear.sample_batch(theta, idx)
+    assert losses.shape == slopes.shape == (3, 500)
+    assert rows.shape == (3, 500, small_linear.dimension)
+    for i in range(3):
+        ref_losses, ref_grads = small_linear.per_sample(i, theta, idx[i])
+        assert np.array_equal(rows[i], small_linear.features[idx[i]])
+        assert np.array_equal(losses[i], ref_losses)
+        assert np.array_equal(slopes[i][:, None] * rows[i], ref_grads)
 
 
 def test_estimate_lipschitz(small_linear):
@@ -166,7 +172,7 @@ def test_estimate_lipschitz(small_linear):
         _, grads = small_linear.per_sample(i, np.zeros(small_linear.dimension))
         norms.append(np.linalg.norm(grads, axis=1).max())
     assert g == pytest.approx(max(norms))
-    zero = MultiTaskProblem([np.zeros((2, 1))], [np.zeros(2)], LOSS_SQUARED)
+    zero = MultiTaskProblem(np.zeros((2, 1)), [np.zeros(2)], LOSS_SQUARED)
     with pytest.raises(ValueError, match="vanish"):
         estimate_lipschitz(zero)
 
@@ -178,8 +184,8 @@ def test_gen_linear_shapes():
     p = gen_linear(LinearSpec(seed=1))
     assert p.num_objectives == 3
     assert p.dimension == 10
-    assert all(p.features[i].shape == (6000, 10) for i in range(3))
-    assert all(p.labels[i].shape == (6000,) for i in range(3))
+    assert p.features.shape == (6000, 10)
+    assert p.labels.shape == (3, 6000)
     assert p.loss_kind == LOSS_SQUARED
     assert p.meta["true_params"].shape == (3, 10)
 
@@ -188,7 +194,7 @@ def test_gen_linear_noise_variances_within_ten_percent():
     p = gen_linear(LinearSpec(seed=0))
     anchors = p.meta["true_params"]
     for i, var in enumerate((0.04, 0.36, 0.25)):
-        eps = p.labels[i] - p.features[i] @ anchors[i]
+        eps = p.labels[i] - p.features @ anchors[i]
         assert abs(eps.var() - var) <= 0.1 * var
 
 
@@ -196,7 +202,7 @@ def test_gen_linear_bit_reproducible():
     a = gen_linear(LinearSpec(seed=9))
     b = gen_linear(LinearSpec(seed=9))
     c = gen_linear(LinearSpec(seed=10))
-    assert np.array_equal(a.features[0], b.features[0])
+    assert np.array_equal(a.features, b.features)
     assert all(np.array_equal(a.labels[i], b.labels[i]) for i in range(3))
     assert not np.array_equal(a.labels[0], c.labels[0])
 
@@ -277,7 +283,7 @@ def test_wine_features_are_standardized_with_bias(tmp_path):
     p = load_wine_tasks(_write_wine(tmp_path, rows))
     # 12 columns - 3 label sources + 1 bias
     assert p.dimension == 10
-    feats = p.features[0]
+    feats = p.features
     assert np.array_equal(feats[:, -1], np.ones(40))  # bias column
     assert np.abs(feats[:, :-1].mean(axis=0)).max() <= 1e-10
     assert feats[:, :-1].std(axis=0) == pytest.approx(np.ones(9), abs=1e-10)
@@ -352,7 +358,7 @@ def test_synthesized_wine_is_deterministic_and_loadable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     p = load_wine_tasks(a)
     assert p.num_objectives == 3
-    assert p.size(0) == 60
+    assert p.num_samples == 60
     # the quantile cut must be nondegenerate on every task
     for y in p.labels:
         assert 0.0 < y.mean() < 1.0
@@ -421,7 +427,7 @@ def test_toy_problem_wraps_ensemble_as_squared_error():
     p = toy_problem(spec, num_draws=50, seed=2)
     assert p.num_objectives == 2
     assert p.dimension == 1
-    assert p.size(0) == 50
+    assert p.num_samples == 50
     specs = perturbation_ensemble(spec, 50, seed=2)
     theta = np.array([0.4])
     losses, grads = p.per_sample(0, theta)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drmoo.checks import simplex_projection_oracle
@@ -81,3 +81,43 @@ def test_projection_on_far_away_points():
     assert np.array_equal(project_simplex([-50.0, -51.0]), [1.0, 0.0])
     w = project_simplex(np.full(5, 100.0))
     assert w == pytest.approx([0.2] * 5, abs=1e-12)
+
+
+def test_long_vectors_match_active_set_oracle():
+    g = rng(62)
+    for _ in range(10):
+        v = g.normal(0, 2, int(g.integers(9, 12)))
+        assert np.abs(project_simplex(v) - simplex_projection_oracle(v)).max() <= 1e-8
+
+
+def _numpy_projection(v):
+    """The sort-and-threshold projection in numpy operations, which
+    project_simplex ran before it moved to Python floats."""
+    u = np.sort(v, kind="stable")[::-1]
+    css = np.cumsum(u)
+    cand = np.nonzero(u - (css - 1.0) / np.arange(1, v.size + 1) > 0.0)[0]
+    if cand.size == 0:  # the large-magnitude fallback
+        with np.errstate(over="ignore"):
+            return _numpy_projection(np.maximum(v - u[0], -2.0))
+    tau = (css[cand[-1]] - 1.0) / (cand[-1] + 1.0)
+    return np.maximum(v - tau, 0.0)
+
+
+entries = st.one_of(
+    st.floats(-10.0, 10.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]),  # ties and signed zeros
+    # around 2^53 u_1 - 1 rounds back to u_1, which takes the fallback
+    st.sampled_from([2.0**53, 2.0**53 + 2.0, 2.0**54, -(2.0**53), 1e18]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(entries, min_size=1, max_size=12).map(np.array))
+def test_float_projection_is_bit_identical_to_numpy_path(v):
+    assert project_simplex(v).tobytes() == _numpy_projection(v).tobytes()
+
+
+def test_float_projection_examples():
+    assert np.array_equal(project_simplex([7.0]), [1.0])
+    assert np.array_equal(project_simplex([2.0**54, 2.0**54]), [0.5, 0.5])  # fallback
+    assert np.array_equal(project_simplex([0.0, -0.0]), [0.5, 0.5])

@@ -25,11 +25,15 @@ from drmoo.problems import (
     gen_linear,
 )
 from drmoo.solvers import (
+    DRAW_CHUNK,
+    ROLE_INDEX,
+    ROLE_Y,
     BaselineConfig,
     DoubleClipConfig,
     DoubleLoopConfig,
     SolverDivergence,
     _full_surrogate,
+    _index_steps,
     inner_eta_descent,
     make_stream,
     run_double_clip,
@@ -79,7 +83,7 @@ ALL_SOLVERS = [
 
 
 class _ThetaRecorder:
-    """Problem proxy capturing every theta handed to the batch sampler."""
+    """Problem proxy capturing every theta handed to the stacked sampler."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -88,9 +92,9 @@ class _ThetaRecorder:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def sample_batch(self, i, theta, batch_size, rng):
+    def sample_batch(self, theta, idx=None):
         self.thetas.append(np.array(theta, copy=True))
-        return self.inner.sample_batch(i, theta, batch_size, rng)
+        return self.inner.sample_batch(theta, idx)
 
 
 # --- config validation -------------------------------------------------------
@@ -169,7 +173,7 @@ def test_w_stays_on_simplex(run, make_cfg):
 @pytest.mark.parametrize("run,make_cfg", ALL_SOLVERS)
 def test_single_objective_keeps_w_at_one(run, make_cfg):
     base = _problem()
-    problem = MultiTaskProblem([base.features[0]], [base.labels[0]], LOSS_SQUARED)
+    problem = MultiTaskProblem(base.features, base.labels[:1], LOSS_SQUARED)
     ctx = DualContext(
         lam=1.0, lipschitz_g=estimate_lipschitz(problem), num_objectives=1
     )
@@ -237,9 +241,7 @@ def test_clip_eta_steps_bounded_in_trace():
 def test_zero_gradient_problem_freezes_double_clip():
     # all-zero features and labels: X = Z = 0, so alpha = c1, mu = f1 and
     # nothing moves (the x/0 = +inf convention picks the cap)
-    problem = MultiTaskProblem(
-        [np.zeros((8, 2))] * 2, [np.zeros(8)] * 2, LOSS_SQUARED
-    )
+    problem = MultiTaskProblem(np.zeros((8, 2)), np.zeros((2, 8)), LOSS_SQUARED)
     ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=2)
     cfg = _dc_cfg(T=10)
     tr = run_double_clip(cfg, problem, ctx)
@@ -258,13 +260,13 @@ def test_constant_losses_freeze_theta_and_pull_eta():
     # vanish. theta must stay put, the inner loop must pull eta toward the
     # dual minimizer (the constant), and w must stay uniform.
     c = 1.0
-    problem = MultiTaskProblem(
-        [np.zeros((8, 2))] * 2, [np.full(8, np.sqrt(c))] * 2, LOSS_SQUARED
-    )
+    problem = MultiTaskProblem(np.zeros((8, 2)), np.full((2, 8), np.sqrt(c)), LOSS_SQUARED)
     recorder = _ThetaRecorder(problem)
     ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=2)
     cfg = _dl_cfg(T=80, D=10, gamma=0.1)
     tr = run_double_loop(cfg, recorder, ctx)
+    # one stacked sample for the inner loop and one per Y, Ybar, Ytilde batch
+    assert len(recorder.thetas) == 4 * cfg.T
     assert all(np.array_equal(t, np.zeros(2)) for t in recorder.thetas)
     assert np.array_equal(tr.w, np.full((80, 2), 0.5))
     # recorded eta is a point on the inner trajectory; late rows sit at c
@@ -378,6 +380,26 @@ def test_baseline_divergence():
 
 
 # --- rng streams -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "role, high, size",
+    [(ROLE_Y, n, s) for n in (200, 4898, 6000) for s in (1, 3, 20, 255, 256)]
+    + [(ROLE_INDEX, 20, 3)],  # the double loop's trajectory-index triple
+)
+def test_block_draws_equal_per_step_draws(role, high, size):
+    # numpy does not promise that integers(0, N, size=(c, s)) gives the values
+    # of c successive integers(0, N, size=s) calls; every trace relies on it.
+    # 2 full chunks and a short one, so reads cross chunk boundaries.
+    steps = 2 * DRAW_CHUNK + 7
+    block = make_stream(3, role, 1).integers(0, high, size=(steps, size))
+    got = np.array(list(_index_steps(3, role, 2, high, size, steps)))
+    streams = [make_stream(3, role, i) for i in range(2)]
+    per_step = np.array([
+        [rng.integers(0, high, size=size) for rng in streams] for _ in range(steps)
+    ])
+    assert np.array_equal(block, per_step[:, 1])
+    assert np.array_equal(got, per_step)
 
 
 def test_make_stream_determinism_and_role_separation():
