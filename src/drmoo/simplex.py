@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+
 def project_simplex(v) -> np.ndarray:
     """Euclidean projection of v onto the probability simplex.
 
@@ -28,7 +29,7 @@ def project_simplex(v) -> np.ndarray:
         css += x
         if x - (css - 1.0) / j > 0.0:
             tau = (css - 1.0) / j
-    if tau is not None:
+    if tau is not None:  # +0.0 wherever x <= tau, as np.maximum(v - tau, 0.0) gives
         return np.array([x - tau if x > tau else 0.0 for x in vals])
     # j=1 qualifies (u_1 - (u_1 - 1)/1 = 1 > 0) except when |u_1| is so large
     # that u_1 - 1 rounds back to u_1 (magnitudes around 2^53 and beyond):

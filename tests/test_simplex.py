@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drmoo.checks import simplex_projection_oracle
@@ -113,6 +113,8 @@ entries = st.one_of(
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(entries, min_size=1, max_size=12).map(np.array))
+@example(np.array([1.0, -0.0]))  # -0.0 - tau with tau = 0.0: numpy clamps to +0.0
+@example(np.array([0.5, -0.0, 0.5]))
 def test_float_projection_is_bit_identical_to_numpy_path(v):
     assert project_simplex(v).tobytes() == _numpy_projection(v).tobytes()
 
