@@ -19,10 +19,10 @@ data_seed, toy_draws, toy_std) and the fields of its solver's config
 dataclass in solvers.SOLVERS, which also supplies the defaults (the
 synthetic-regression settings); double_clip also takes B, which sets N1 and
 N2 when they are not given. Everything is checked while parsing: an unknown
-key, a malformed or out-of-range value or a repeated seed fails with its
-line number, and a value the solver's dataclass rejects fails with the
-block's line number. Presets for the two reference experiments ship with
-the package, see preset_names().
+or repeated key, a malformed or out-of-range value or a repeated seed fails
+with its line number, and a value the solver's dataclass rejects fails
+with the block's line number. Presets for the two reference experiments
+ship with the package, see preset_names().
 """
 
 import math
@@ -128,8 +128,7 @@ def _finish_block(name, section_line, entries, globals_):
     solver_types = {f.name: f.type for f in fields(default) if f.name != "seed"}
     if solver == "double_clip":
         solver_types["B"] = int
-    cfg = ExperimentConfig(name=name, problem=problem, solver=solver, seeds=[0],
-                           output_dir=globals_["output_dir"], wine_path=globals_["wine_path"])
+    cfg = ExperimentConfig(name=name, problem=problem, solver=solver, seeds=[0], **globals_)
     params = {}
     for key, (value, lineno) in raw.items():
         if key in _COMMON_KEYS:
@@ -155,7 +154,7 @@ def _finish_block(name, section_line, entries, globals_):
 
 def parse_config(text: str):
     """Parse a config file's text into a list of ExperimentConfig blocks."""
-    globals_ = {"output_dir": "runs", "wine_path": None}
+    globals_ = {}  # the global keys given; ExperimentConfig holds their defaults
     runs = []
     current = None  # (name, section_line, entries)
     seen_names = set()
@@ -187,6 +186,8 @@ def parse_config(text: str):
                     f"line {lineno}: unknown global key {key!r} (allowed: {_GLOBAL_KEYS}); "
                     f"solver keys belong inside a [run.NAME] section"
                 )
+            if key in globals_:
+                raise ConfigError(f"line {lineno}: duplicate global key {key!r}")
             globals_[key] = value
             continue
         current[2].append((key, value, lineno))

@@ -14,6 +14,12 @@ Four iterations over a MultiTaskProblem, all emitting a RunTrace:
   * run_modo: the same joint step, but the preference update uses two
     independent batches so the gram estimator is unbiased.
 
+All four share one outer loop, _mgda_loop, which owns the start state, the
+trace, the surrogate cadence, the sample count, the preference step
+w <- project(w - beta (G w + rho w)) and the divergence check; each solver
+supplies its index streams and a per-step estimator of the parameter
+direction, the dual update and the gram product G w.
+
 SOLVERS maps each name to its run function and default config; the config
 dataclasses' fields and defaults are the hyperparameter schema of
 `drmoo run` config blocks.
@@ -189,53 +195,6 @@ class BaselineConfig:
             raise ValueError("T and B must be >= 1")
 
 
-class _TraceBuilder:
-    """Accumulates per-iteration rows and finalizes a RunTrace."""
-
-    def __init__(self, T: int, m: int):
-        self.iterations = np.arange(T)
-        self.samples = np.zeros(T, dtype=np.int64)
-        self.wall_ms = np.zeros(T)
-        self.losses = np.zeros((T, m))
-        self.balanced_grad = np.zeros(T)
-        self.surrogate_stat = np.zeros(T)
-        self.w = np.zeros((T, m))
-        self.eta = np.zeros((T, m))
-        self.diagnostics = {}
-        self._t0 = time.perf_counter()
-        self._filled = 0
-
-    def record(self, t, samples, losses, bal, sur, w, eta):
-        self.samples[t] = samples
-        self.wall_ms[t] = (time.perf_counter() - self._t0) * 1000.0
-        self.losses[t] = losses
-        self.balanced_grad[t] = bal
-        self.surrogate_stat[t] = sur
-        self.w[t] = w
-        self.eta[t] = eta
-        self._filled = t + 1
-
-    def build(self, upto=None) -> RunTrace:
-        end = self._filled if upto is None else upto
-        diag = {k: v[:end] for k, v in self.diagnostics.items()}
-        return RunTrace(
-            self.iterations[:end],
-            self.samples[:end],
-            self.wall_ms[:end],
-            self.losses[:end],
-            self.balanced_grad[:end],
-            self.surrogate_stat[:end],
-            self.w[:end],
-            self.eta[:end],
-            diag,
-        )
-
-
-def _check_finite(t, builder, *arrays):
-    if not np.isfinite(np.concatenate(arrays)).all():
-        raise SolverDivergence(t, builder.build())
-
-
 def _index_steps(seed, role, m, high, size, steps):
     """The (m, size) index arrays of `steps` steps of one role, row i drawn
     uniformly from {0..high-1} by stream (seed, role, i), DRAW_CHUNK steps
@@ -268,12 +227,58 @@ def _full_surrogate(problem, ctx, theta, eta_eff, w) -> float:
     return surrogate_stationarity(ObjectiveJacobian(cols, egr), w, ctx.lipschitz_g)
 
 
-def _check_problem(problem, ctx: DualContext):
-    if problem.num_objectives != ctx.num_objectives:
-        raise ValueError(
-            f"problem has {problem.num_objectives} objectives, "
-            f"context expects {ctx.num_objectives}"
-        )
+def _mgda_loop(cfg, problem, ctx: DualContext, per_step, step, diagnostics) -> RunTrace:
+    """The outer iteration every solver shares, from theta = 0, eta = 0 and
+    uniform w, for cfg.T steps that each consume per_step samples.
+
+    step(t, theta, eta, w) estimates one step and returns (losses,
+    direction, lr, eta_log, eta_eff, eta_next, gram_w): theta moves by
+    -lr * direction, eta becomes eta_next, and the preference step is
+    w <- project(w - beta (gram_w + rho w)). The trace logs eta_log and
+    the surrogate is taken at the pre-step theta and the dual scalars
+    eta_eff. step may fill row t of the diagnostics arrays.
+    """
+    m = problem.num_objectives
+    if m != ctx.num_objectives:
+        raise ValueError(f"problem has {m} objectives, context expects {ctx.num_objectives}")
+    theta = np.zeros(problem.dimension)
+    eta = np.zeros(m)
+    w = uniform_preference(m)
+    trace = RunTrace(
+        iterations=np.arange(cfg.T),
+        samples=per_step * np.arange(1, cfg.T + 1, dtype=np.int64),
+        wall_ms=np.zeros(cfg.T),
+        losses=np.zeros((cfg.T, m)),
+        balanced_grad=np.zeros(cfg.T),
+        surrogate_stat=np.zeros(cfg.T),
+        w=np.zeros((cfg.T, m)),
+        eta=np.zeros((cfg.T, m)),
+        diagnostics=diagnostics,
+    )
+    t0 = time.perf_counter()
+    for t in range(cfg.T):
+        losses, direction, lr, eta_log, eta_eff, eta_next, gram_w = step(t, theta, eta, w)
+        if t % SURROGATE_EVERY == 0:
+            surrogate = _full_surrogate(problem, ctx, theta, eta_eff, w)
+        trace.wall_ms[t] = (time.perf_counter() - t0) * 1000.0
+        trace.losses[t] = losses
+        trace.balanced_grad[t] = float(np.linalg.norm(direction))
+        trace.surrogate_stat[t] = surrogate
+        trace.w[t] = w
+        trace.eta[t] = eta_log
+
+        # divergence must be caught on the raw update, before the projection
+        # chokes on non-finite input
+        theta = theta - lr * direction
+        eta = eta_next
+        w_pre = w - cfg.beta * (gram_w + cfg.rho * w)
+        if not np.isfinite(np.concatenate((theta, eta, w_pre))).all():
+            rows = {f.name: getattr(trace, f.name)[: t + 1] for f in fields(RunTrace)
+                    if f.name != "diagnostics"}
+            diag = {k: v[: t + 1] for k, v in diagnostics.items()}
+            raise SolverDivergence(t, RunTrace(**rows, diagnostics=diag))
+        w = project_simplex(w_pre)
+    return trace
 
 
 def run_double_loop(cfg: DoubleLoopConfig, problem, ctx: DualContext) -> RunTrace:
@@ -290,29 +295,20 @@ def run_double_loop(cfg: DoubleLoopConfig, problem, ctx: DualContext) -> RunTrac
 
     Consumes exactly T*(m*D + 3*B*m) samples.
     """
-    _check_problem(problem, ctx)
-    m, n = problem.num_objectives, problem.dimension
-    theta = np.zeros(n)
-    eta = np.zeros(m)
-    w = uniform_preference(m)
-    big_n = problem.num_samples
+    m, big_n = problem.num_objectives, problem.num_samples
     inner = _index_steps(cfg.seed, ROLE_INNER, m, big_n, cfg.D, cfg.T)
     ybat = _index_steps(cfg.seed, ROLE_Y, m, big_n, cfg.B, cfg.T)
     ybarbat = _index_steps(cfg.seed, ROLE_YBAR, m, big_n, cfg.B, cfg.T)
     ytilbat = _index_steps(cfg.seed, ROLE_YTILDE, m, big_n, cfg.B, cfg.T)
     triples = _index_steps(cfg.seed, ROLE_INDEX, 1, cfg.D, 3, cfg.T)
 
-    builder = _TraceBuilder(cfg.T, m)
-    samples = 0
-    surrogate = np.nan
-    for t in range(cfg.T):
+    def step(t, theta, eta, w):
         # (a) inner dual descent, one fresh sample per step per objective; the
-        # final iterate warm-starts the next outer iteration
+        # final iterate, written into eta, warm-starts the next outer iteration
         traj = np.empty((m, cfg.D))
         losses = problem.sample_batch(theta, next(inner))[0].tolist()
         for i in range(m):
             traj[i], eta[i] = inner_eta_descent(losses[i], float(eta[i]), cfg.gamma, ctx.lam)
-        samples += m * cfg.D
 
         # (b) trajectory indices, one triple shared across objectives
         d_y, d_bar, d_til = next(triples)[0]
@@ -321,22 +317,10 @@ def run_double_loop(cfg: DoubleLoopConfig, problem, ctx: DualContext) -> RunTrac
         loss_log, y_mat, _ = _oracle(ctx, problem, theta, ybat, traj[:, d_y])
         _, ybar_mat, _ = _oracle(ctx, problem, theta, ybarbat, traj[:, d_bar])
         _, ytil_mat, _ = _oracle(ctx, problem, theta, ytilbat, traj[:, d_til])
-        samples += 3 * cfg.B * m
+        gram_w = (ybar_mat.T @ ytil_mat) @ w
+        return loss_log, y_mat @ w, cfg.alpha, traj[:, d_y], traj[:, d_y], eta, gram_w
 
-        direction = y_mat @ w
-        if t % SURROGATE_EVERY == 0:
-            surrogate = _full_surrogate(problem, ctx, theta, traj[:, d_y], w)
-        builder.record(
-            t, samples, loss_log, float(np.linalg.norm(direction)), surrogate, w, traj[:, d_y]
-        )
-
-        # (d) parameter step, (e) preference step; divergence must be caught
-        # on the raw update, before the projection chokes on non-finite input
-        theta = theta - cfg.alpha * direction
-        w_pre = w - cfg.beta * ((ybar_mat.T @ ytil_mat) @ w + cfg.rho * w)
-        _check_finite(t, builder, theta, eta, w_pre)
-        w = project_simplex(w_pre)
-    return builder.build()
+    return _mgda_loop(cfg, problem, ctx, m * cfg.D + 3 * cfg.B * m, step, {})
 
 
 def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> RunTrace:
@@ -355,24 +339,16 @@ def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> RunTrac
     The stored eta is the rescaled variable; multiply by G*sqrt(m) for the
     dual scalar of L.
     """
-    _check_problem(problem, ctx)
-    m, n = problem.num_objectives, problem.dimension
+    m = problem.num_objectives
     scale = ctx.eta_scale
-    theta = np.zeros(n)
-    eta = np.zeros(m)
-    w = uniform_preference(m)
     zbat = _index_steps(cfg.seed, ROLE_Z, m, problem.num_samples, cfg.N2, cfg.T)
     xbat = _index_steps(cfg.seed, ROLE_X, m, problem.num_samples, cfg.N1, cfg.T)
-
-    builder = _TraceBuilder(cfg.T, m)
     diag = {
         name: np.zeros(cfg.T)
         for name in ("alpha_t", "mu_t", "theta_step", "eta_step", "xw_norm", "zw_norm")
     }
-    builder.diagnostics = diag
-    samples = 0
-    surrogate = np.nan
-    for t in range(cfg.T):
+
+    def step(t, theta, eta, w):
         # eta block at eta_t: grad_eta of every objective, from the losses only
         z_losses = problem.sample_batch(theta, next(zbat))[0]
         u = np.maximum((z_losses - (scale * eta)[:, None]) / ctx.lam + 2.0, 0.0)
@@ -381,71 +357,42 @@ def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> RunTrac
         zw_norm = float(np.linalg.norm(zw))
         mu = cfg.f1 if zw_norm == 0.0 else min(cfg.f1, cfg.f2 / zw_norm)
         eta_next = eta - cfg.gamma * mu * zw
-        samples += m * cfg.N2
 
         # theta block at the fresh dual iterate
-        loss_log, x_mat, _ = _oracle(ctx, problem, theta, xbat, scale * eta_next)
+        eta_eff = scale * eta_next
+        loss_log, x_mat, _ = _oracle(ctx, problem, theta, xbat, eta_eff)
         xw = x_mat @ w
         xw_norm = float(np.linalg.norm(xw))
         alpha = cfg.c1 if xw_norm == 0.0 else min(cfg.c1, cfg.c2 / xw_norm)
-        samples += m * cfg.N1
 
-        if t % SURROGATE_EVERY == 0:
-            surrogate = _full_surrogate(problem, ctx, theta, scale * eta_next, w)
-        builder.record(t, samples, loss_log, xw_norm, surrogate, w, eta_next)
         diag["alpha_t"][t] = alpha
         diag["mu_t"][t] = mu
         diag["xw_norm"][t] = xw_norm
         diag["zw_norm"][t] = zw_norm
         diag["theta_step"][t] = cfg.gamma * alpha * xw_norm
         diag["eta_step"][t] = cfg.gamma * mu * zw_norm
+        gram_w = alpha * (x_mat.T @ xw) + mu * (z_vec * z_vec * w)
+        return loss_log, xw, cfg.gamma * alpha, eta_next, eta_eff, eta_next, gram_w
 
-        theta = theta - cfg.gamma * alpha * xw
-        w_pre = w - cfg.beta * (
-            alpha * (x_mat.T @ xw) + mu * (z_vec * z_vec * w) + cfg.rho * w
-        )
-        eta = eta_next
-        _check_finite(t, builder, theta, eta, w_pre)
-        w = project_simplex(w_pre)
-    return builder.build()
+    return _mgda_loop(cfg, problem, ctx, m * (cfg.N2 + cfg.N1), step, diag)
 
 
 def _run_joint_baseline(cfg: BaselineConfig, problem, ctx, double_sampling: bool) -> RunTrace:
-    _check_problem(problem, ctx)
-    m, n = problem.num_objectives, problem.dimension
-    theta = np.zeros(n)
-    eta = np.zeros(m)
-    w = uniform_preference(m)
+    m = problem.num_objectives
     abat = _index_steps(cfg.seed, ROLE_JOINT_A, m, problem.num_samples, cfg.B, cfg.T)
     bbat = _index_steps(cfg.seed, ROLE_JOINT_B, m, problem.num_samples, cfg.B, cfg.T)
 
-    builder = _TraceBuilder(cfg.T, m)
-    samples = 0
-    surrogate = np.nan
-    for t in range(cfg.T):
+    def step(t, theta, eta, w):
         loss_log, ja, ga = _oracle(ctx, problem, theta, abat, eta)
-        samples += m * cfg.B
+        jb, gb = ja, ga
         if double_sampling:
             _, jb, gb = _oracle(ctx, problem, theta, bbat, eta)
-            samples += m * cfg.B
-        else:
-            jb, gb = ja, ga
-
-        direction = ja @ w
-        if t % SURROGATE_EVERY == 0:
-            surrogate = _full_surrogate(problem, ctx, theta, eta, w)
-        builder.record(
-            t, samples, loss_log, float(np.linalg.norm(direction)), surrogate, w, eta
-        )
-
         # joint (theta, eta) step; the eta block of the jacobian is diagonal
-        theta = theta - cfg.lr * direction
-        eta = eta - cfg.lr * (ga * w)
         gram_w = (ja.T @ jb) @ w + (ga * gb) * w
-        w_pre = w - cfg.beta * (gram_w + cfg.rho * w)
-        _check_finite(t, builder, theta, eta, w_pre)
-        w = project_simplex(w_pre)
-    return builder.build()
+        return loss_log, ja @ w, cfg.lr, eta, eta, eta - cfg.lr * (ga * w), gram_w
+
+    batches = 2 if double_sampling else 1
+    return _mgda_loop(cfg, problem, ctx, batches * m * cfg.B, step, {})
 
 
 def run_stochastic_mgda(cfg: BaselineConfig, problem, ctx: DualContext) -> RunTrace:

@@ -3,7 +3,8 @@
 No rendering dependency: the functions assemble SVG strings directly.
 Curves are drawn with a log-scale y axis (the balanced gradient spans
 orders of magnitude); nonpositive values are clamped to half the smallest
-positive value so a polyline never leaves the canvas.
+positive value and non-finite ones (a diverged run's inf or nan) are drawn
+at the top of the axis, so every coordinate is a finite point on the canvas.
 """
 
 import math
@@ -72,6 +73,8 @@ def emit_svg_plot(trace_paths, metric: str, out_path) -> Path:
         return x0 + (x / xmax) * (x1 - x0)
 
     def sy(v):
+        if not math.isfinite(v):
+            return y1
         v = max(v, floor)
         return y0 + (math.log10(v) - ymin) / (ymax - ymin) * (y1 - y0)
 

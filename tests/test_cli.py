@@ -15,7 +15,7 @@ from drmoo.config import build_solver_config, parse_config
 from drmoo.metrics import window_means
 from drmoo.problems import WINE_ENV
 from drmoo.solvers import SolverDivergence
-from drmoo.svg import emit_svg_plot, emit_svg_scatter
+from drmoo.svg import HEIGHT, WIDTH, emit_svg_plot, emit_svg_scatter
 from drmoo.trace import atomic_open, read_trace, write_trace
 
 
@@ -422,6 +422,23 @@ def test_svg_constant_series_is_horizontal(tmp_path):
     ys = {pair.split(",")[1] for pair in pts.split()}
     assert len(ys) == 1
     assert "flat" in svg  # legend carries the file stem
+
+
+def test_svg_plot_draws_non_finite_values_on_the_canvas(tmp_path):
+    # a diverged run's partial trace holds inf; a browser drops a polyline
+    # with a non-finite coordinate
+    tr = _constant_trace(tmp_path / "diverged.csv", 0.25)
+    lines = tr.read_text().splitlines()
+    lines[3] = lines[3].replace("0.25", "inf")
+    lines[4] = lines[4].replace("0.25", "nan")
+    tr.write_text("\n".join(lines) + "\n")
+    svg = emit_svg_plot([tr], "balanced_grad", tmp_path / "p.svg").read_text()
+    assert "inf" not in svg.lower() and "nan" not in svg.lower()
+    pts = re.search(r'<polyline points="([^"]+)"', svg).group(1).split()
+    assert len(pts) == 5
+    for pair in pts:
+        x, y = (float(c) for c in pair.split(","))
+        assert 0 <= x <= WIDTH and 0 <= y <= HEIGHT
 
 
 def test_svg_plot_requires_traces(tmp_path):

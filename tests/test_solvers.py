@@ -358,25 +358,38 @@ def test_full_surrogate_matches_reference(theta, eta, w):
 # --- divergence --------------------------------------------------------------
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_double_loop_divergence_carries_partial_trace():
-    # overflow warnings during the blow-up are the divergence mechanism itself
+def _huge_label_problem():
+    # labels of 1e200 overflow every squared loss to inf
     problem = _problem()
+    return MultiTaskProblem(problem.features, np.full_like(problem.labels, 1e200), LOSS_SQUARED)
+
+
+CLIP_DIAGNOSTICS = {"alpha_t", "mu_t", "theta_step", "eta_step", "xw_norm", "zw_norm"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "run, cfg, make_problem",
+    [
+        (run_double_loop, _dl_cfg(alpha=1e6, T=50), _problem),
+        (run_double_clip, _dc_cfg(T=50), _huge_label_problem),
+        (run_stochastic_mgda, _bl_cfg(lr=1e6, T=50), _problem),
+        (run_modo, _bl_cfg(lr=1e6, T=50), _problem),
+    ],
+    ids=["double_loop", "double_clip", "mgda", "modo"],
+)
+def test_divergence_carries_partial_trace(run, cfg, make_problem):
+    # overflow warnings during the blow-up are the divergence mechanism itself
     with pytest.raises(SolverDivergence, match="divergence at iteration") as ei:
-        run_double_loop(_dl_cfg(alpha=1e6, T=50), problem, _ctx(problem))
+        run(cfg, make_problem(), _ctx(_problem()))
     exc = ei.value
     assert 0 <= exc.iteration < 50
     partial = exc.partial_trace
     assert len(partial) == exc.iteration + 1
     assert np.all(np.diff(partial.samples) > 0)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_baseline_divergence():
-    problem = _problem()
-    with pytest.raises(SolverDivergence) as ei:
-        run_stochastic_mgda(_bl_cfg(lr=1e6, T=50), problem, _ctx(problem))
-    assert len(ei.value.partial_trace) == ei.value.iteration + 1
+    assert set(partial.diagnostics) == (CLIP_DIAGNOSTICS if run is run_double_clip else set())
+    for values in partial.diagnostics.values():
+        assert len(values) == exc.iteration + 1
 
 
 # --- rng streams -------------------------------------------------------------

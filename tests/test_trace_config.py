@@ -215,6 +215,7 @@ def test_multiple_blocks_in_order():
         ("alpha = 1\n" + MINIMAL, r"unknown global key 'alpha'"),
         ("", r"config defines no \[run\.NAME\] sections"),
         ("output_dir = runs\n", r"config defines no \[run\.NAME\] sections"),
+        ("output_dir = a\noutput_dir = b\n" + MINIMAL, r"line 2: duplicate global key 'output_dir'"),
     ],
 )
 def test_parse_errors(text, pattern):
