@@ -270,6 +270,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ConfigError(f"grid must look like lo:hi:count, got {text!r}") from None
+    if not np.isfinite((lo, hi)).all():
+        raise ConfigError(f"grid endpoints must be finite, got {text!r}")
     if count < 1 or not lo < hi:
         raise ConfigError(f"grid needs lo < hi and count >= 1, got {text!r}")
     return np.linspace(lo, hi, count)

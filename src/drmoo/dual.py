@@ -18,9 +18,9 @@ This module provides the conjugate, the dual value, its stochastic gradients
 in theta and eta, the gradients of the rescaled objective
 Lhat(theta, eta) = L(theta, G*sqrt(m)*eta), and exact full-batch oracles
 (the closed-form dual minimizer, robust values and gradients) for tests and
-metrics; each takes one objective's loss batch and rejects an empty, non-1-d
-or non-finite one. They are the reference for batch_oracle, the solvers'
-unvalidated fusion of all three for all m objectives on one stacked batch.
+metrics; each takes one objective's loss batch (exact_dual_min also a block
+of batches) and rejects an empty, misshapen or non-finite one. They are the
+reference for batch_oracle, the solvers' fusion of all three for all m.
 
 All expectations are plug-in empirical means over the supplied batch; the
 caller owns sampling and randomness.
@@ -91,16 +91,18 @@ class ObjectiveJacobian(NamedTuple):
     eta_grads: np.ndarray
 
 
-def _as_batch(losses) -> np.ndarray:
+def _as_batch(losses, block=False) -> np.ndarray:
     losses = np.asarray(losses, dtype=float)
-    if losses.ndim != 1:
-        raise ValueError(f"losses must be a 1-d batch, got shape {losses.shape}")
+    if losses.ndim != 1 and not (block and losses.ndim == 2):
+        or_block = " or an (r, B) block" if block else ""
+        raise ValueError(f"losses must be a 1-d batch{or_block}, got shape {losses.shape}")
     if losses.size == 0:
         raise ValueError("empty batch")
     finite = np.isfinite(losses)
     if not finite.all():
-        j = int(np.argmin(finite))
-        raise ValueError(f"non-finite loss at index {j}: {losses[j]}")
+        where = np.unravel_index(np.argmin(finite), losses.shape)
+        at = f"row {where[0]}, index {where[1]}" if losses.ndim == 2 else f"index {where[0]}"
+        raise ValueError(f"non-finite loss at {at}: {losses[where]}")
     return losses
 
 
@@ -190,8 +192,9 @@ def rescaled_grads(ctx: DualContext, batches, theta, eta) -> ObjectiveJacobian:
     return ObjectiveJacobian(cols, egrads)
 
 
-def exact_dual_min(ctx: DualContext, losses) -> float:
-    """The minimizer eta* of dual_value over eta, in closed form.
+def exact_dual_min(ctx: DualContext, losses):
+    """The minimizer eta* of dual_value over eta, in closed form: a float for
+    a 1-d batch, an (r,) array for an (r, B) block of r batches.
 
     grad_eta(eta) = 1 - sum_j (l_j - eta + 2*lambda)_+ / (2*lambda*B) is
     piecewise linear and nondecreasing, so its root follows from the same
@@ -201,25 +204,29 @@ def exact_dual_min(ctx: DualContext, losses) -> float:
     active set is the largest k with u_k > eta_k - 2*lambda (k = 1 always
     qualifies). The sums are taken relative to u_1, which keeps the rounding
     at the scale of the spread rather than of the losses and returns a
-    constant batch's constant exactly.
+    constant batch's constant exactly. A block is solved along its rows, row
+    i bit for bit as exact_dual_min(ctx, losses[i]).
     """
-    u = np.sort(_as_batch(losses))[::-1]
-    top = u[0]
-    k = np.arange(1, u.size + 1)
-    eta = np.cumsum(u - top) / k + 2.0 * ctx.lam * (1.0 - u.size / k)
-    active = np.flatnonzero(u - top > eta - 2.0 * ctx.lam)
-    return float(top + eta[active[-1]])
+    losses = _as_batch(losses, block=True)
+    u = np.sort(np.atleast_2d(losses), axis=1)[:, ::-1]
+    top = u[:, :1]
+    b = u.shape[1]
+    k = np.arange(1, b + 1)
+    eta = np.cumsum(u - top, axis=1) / k + 2.0 * ctx.lam * (1.0 - b / k)
+    last = b - 1 - np.argmax((u - top > eta - 2.0 * ctx.lam)[:, ::-1], axis=1)
+    eta_star = top[:, 0] + eta[np.arange(len(u)), last]
+    return float(eta_star[0]) if losses.ndim == 1 else eta_star
 
 
 def phi_oracle(ctx: DualContext, problem, theta):
     """Exact robust values phi^i(theta) and their gradients, full batch.
 
     problem must expose per_sample(i, theta) -> (losses, per_sample_grads)
-    over objective i's full dataset. For each objective the dual scalar is
-    minimized out exactly, the value is the dual objective at that minimizer,
-    and the gradient is grad_theta there (the eta-gradient vanishes at the
-    minimizer, so this is the exact gradient of phi). Intended for tests and
-    metrics, not for the stochastic solvers.
+    over objective i's full dataset, of one size N for all. One exact_dual_min
+    call on the (m, N) losses minimizes the dual scalars out; each value is
+    the dual objective at its minimizer, and the gradient is grad_theta there
+    (the eta-gradient vanishes at the minimizer, so this is the exact
+    gradient of phi). Intended for tests and metrics, not for the solvers.
 
     Returns (values, jacobian): an m-vector and an (n, m) matrix.
     """
@@ -229,11 +236,7 @@ def phi_oracle(ctx: DualContext, problem, theta):
         raise ValueError(
             f"problem has {len(evals)} objectives, context expects {ctx.num_objectives}"
         )
-    n = theta.shape[0]
-    values = np.empty(ctx.num_objectives)
-    jac = np.empty((n, ctx.num_objectives))
-    for i, (losses, grads) in enumerate(evals):
-        eta_star = exact_dual_min(ctx, losses)
-        values[i] = dual_value(ctx, losses, eta_star)
-        jac[:, i] = grad_theta(ctx, grads, losses, eta_star)
+    eta_star = exact_dual_min(ctx, np.stack([losses for losses, _ in evals]))
+    values = np.array([dual_value(ctx, loss, e) for (loss, _), e in zip(evals, eta_star)])
+    jac = np.column_stack([grad_theta(ctx, g, loss, e) for (loss, g), e in zip(evals, eta_star)])
     return values, jac

@@ -6,12 +6,17 @@ term G * sum_i w^i |d/d eta^i| that upper-bounds the bias of evaluating the
 theta-gradients away from the exact dual minimizers.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualContext, ObjectiveJacobian, dual_value, exact_dual_min
+from .dual import DualContext, ObjectiveJacobian, conjugate_value, exact_dual_min
+from .dual import dual_value  # noqa: F401 (re-exported for the benchmark's tracer)
 from .problems import ToySpec, perturbation_ensemble, toy_objectives
+
+# element budget of the row chunks robust_frontier and pareto_filter work on
+CHUNK_ELEMENTS = 1 << 16
 
 
 def balanced_grad_norm(jac: ObjectiveJacobian, w) -> float:
@@ -52,8 +57,14 @@ class FrontierPoint:
     values: tuple
 
     def __post_init__(self):
-        if not self.values or not all(np.isfinite(v) for v in self.values):
+        if not self.values or not all(math.isfinite(v) for v in self.values):
             raise ValueError(f"missing or non-finite objective values: {self.values}")
+
+
+def _row_chunks(rows: int, cols: int):
+    """Slices of the rows of a (rows, cols) block, each under CHUNK_ELEMENTS."""
+    step = max(1, CHUNK_ELEMENTS // cols)
+    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 def pareto_filter(points):
@@ -61,69 +72,61 @@ def pareto_filter(points):
 
     q dominates p when q's values are <= p's in every coordinate and < in at
     least one. Exact duplicates are collapsed to their first occurrence
-    before filtering (ties never dominate each other). The distinct values
-    are then walked in lexicographic order, which puts every dominator of a
-    point before it; a point is kept unless an already-kept point is <= it
-    everywhere, and by transitivity the kept points are the only dominators
-    that need checking.
+    before filtering (ties never dominate each other). A distinct point is
+    then kept when it is the only one <= it everywhere, tested on row chunks
+    of the (k, k) block of per-coordinate comparisons ANDed together.
     """
-    points = list(points)
-    if not points:
-        return []
-    m = len(points[0].values)
-    if any(len(p.values) != m for p in points):
-        raise ValueError("points mix different numbers of objectives")
-    seen = set()
-    uniq = []
+    uniq = {}  # first point of each distinct value tuple
     for p in points:
-        if p.values not in seen:
-            seen.add(p.values)
-            uniq.append(p)
-    vals = np.array([p.values for p in uniq])  # (k, m)
-    front = np.empty_like(vals)  # values of the points kept so far
-    size = 0
-    keep = np.zeros(len(uniq), dtype=bool)
-    for j in np.lexsort(vals.T[::-1]):
-        if not np.all(front[:size] <= vals[j], axis=1).any():
-            front[size] = vals[j]
-            size += 1
-            keep[j] = True
-    return [p for p, k in zip(uniq, keep) if k]
+        uniq.setdefault(p.values, p)
+    if not uniq:
+        return []
+    m = len(next(iter(uniq)))
+    if any(len(v) != m for v in uniq):
+        raise ValueError("points mix different numbers of objectives")
+    cols = np.array(list(uniq)).T.copy()  # (m, k), one row per coordinate
+    keep = np.empty(len(uniq), dtype=bool)
+    for rows in _row_chunks(len(uniq), len(uniq)):
+        below = cols[0] <= cols[0, rows, None]  # [i, j]: j <= i in every coordinate, once ANDed
+        for c in range(1, m):
+            below &= cols[c] <= cols[c, rows, None]
+        keep[rows] = np.count_nonzero(below, axis=1) == 1
+    return [p for p, k in zip(uniq.values(), keep) if k]
 
 
 def robust_frontier(spec: ToySpec, num_draws: int = 200, lam: float = 1.0, seed: int = 0):
     """Nominal and robust Pareto frontiers of the perturbed toy pair on spec.grid.
 
     For every theta on the grid, the nominal values come straight from
-    toy_objectives; the robust value of objective k treats the k-th
+    toy_objectives; the robust value of objective i treats the i-th
     objective's evaluations under the perturbation ensemble (scale
     spec.perturbation_std) as the loss samples of the dual objective and
-    minimizes the dual scalar out exactly. Both point clouds then pass
-    through pareto_filter.
+    minimizes the dual scalar out exactly. On a k-point grid the sample sets
+    of objectives 1 and 2 at point r are rows r and k + r of one C-ordered
+    (2k, num_draws) block, taken in row chunks; a value is dual_value's
+    arithmetic as a row mean, equal to dual_value on that row bit for bit.
+    Both point clouds then pass through pareto_filter.
 
     Returns (nominal_frontier, robust_frontier) as FrontierPoint lists. With
     perturbation_std=0 the ensemble is a point mass, the dual of a constant
     sample set is that constant, and the two frontiers coincide.
     """
     grid = np.asarray(spec.grid, dtype=float)
+    k = grid.size
     specs = perturbation_ensemble(spec, num_draws, seed)
     ctx = DualContext(lam=lam, lipschitz_g=1.0, num_objectives=2)
 
-    # objective evaluations under every perturbed spec: (num_draws, grid)
-    f1_draws = np.stack([toy_objectives(s, grid)[0] for s in specs])
-    f2_draws = np.stack([toy_objectives(s, grid)[1] for s in specs])
-
-    nominal = []
-    robust = []
-    for j, theta in enumerate(grid):
-        f1, f2 = toy_objectives(spec, float(theta))
-        nominal.append(FrontierPoint(float(theta), (f1, f2)))
-        rvals = []
-        for draws in (f1_draws[:, j], f2_draws[:, j]):
-            eta_star = exact_dual_min(ctx, draws)
-            rvals.append(dual_value(ctx, draws, eta_star))
-        robust.append(FrontierPoint(float(theta), tuple(rvals)))
-    return pareto_filter(nominal), pareto_filter(robust)
+    losses = np.empty((2 * k, num_draws))
+    for j, s in enumerate(specs):
+        losses[:k, j], losses[k:, j] = toy_objectives(s, grid)
+    robust = np.empty(2 * k)
+    for rows in _row_chunks(2 * k, num_draws):
+        eta = exact_dual_min(ctx, losses[rows])
+        t = (losses[rows] - eta[:, None]) / ctx.lam
+        robust[rows] = ctx.lam * np.mean(conjugate_value(t), axis=1) + eta
+    clouds = (np.stack(toy_objectives(spec, grid)), robust.reshape(2, k))  # (f1, f2) rows
+    return tuple(pareto_filter(list(map(FrontierPoint, grid.tolist(), zip(*c.tolist()))))
+                 for c in clouds)
 
 
 def window_means(values, window: int = 20):

@@ -466,12 +466,15 @@ def test_svg_scatter_counts_and_errors(tmp_path):
         ["pareto-toy", "--std", "nan"],
         ["pareto-toy", "--std", "-1"],
         ["gen-data", "-1", "out.csv"],
+        ["pareto-toy", "--grid=0:inf:3"],
+        ["pareto-toy", "--grid=-inf:0:3"],
     ],
 )
-def test_bad_arguments_exit_1_with_one_error_line(workdir, capsys, argv):
+def test_bad_arguments_exit_1_with_one_error_line(workdir, capsys, recwarn, argv):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert [str(w.message) for w in recwarn] == []  # no warning printed beside it
     assert "Traceback" not in err
     assert list(workdir.iterdir()) == []  # no CSV, no SVG, no temp file
 

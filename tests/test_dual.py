@@ -406,6 +406,60 @@ def test_exact_dual_min_empty_batch():
         exact_dual_min(CTX1, [])
 
 
+@settings(deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from(["spread", "ties", "constant"]),
+    rows=st.integers(1, 6),
+    size=st.integers(1, 60),
+    lam=st.sampled_from([0.05, 1.0, 10.0]),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    data=st.data(),
+)
+def test_exact_dual_min_block_equals_row_calls(kind, rows, size, lam, layout, data):
+    if kind == "spread":
+        elems = st.floats(-1e3, 1e3, allow_nan=False)
+    else:  # ties: values on a 0.1 grid, so every value repeats
+        elems = st.integers(-10, 10).map(lambda v: v / 10)
+    if kind == "constant":
+        block = np.array([[data.draw(elems)] * size for _ in range(rows)])
+    else:
+        block = np.array(data.draw(st.lists(
+            st.lists(elems, min_size=size, max_size=size), min_size=rows, max_size=rows)))
+    if layout == "F":
+        given_block = np.asfortranarray(block)
+    elif layout == "strided":
+        wide = np.zeros((rows, 2 * size))
+        wide[:, ::2] = block
+        given_block = wide[:, ::2]
+    else:
+        given_block = block
+    ctx = DualContext(lam=lam, lipschitz_g=1.0, num_objectives=1)
+    got = exact_dual_min(ctx, given_block)
+    want = np.array([exact_dual_min(ctx, row) for row in block])
+    assert got.shape == (rows,) and got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # bit for bit
+
+
+def test_exact_dual_min_block_rejects_bad_blocks():
+    for empty in (np.empty((3, 0)), np.empty((0, 4))):
+        with pytest.raises(ValueError, match="empty batch"):
+            exact_dual_min(CTX1, empty)
+    block = np.zeros((3, 4))
+    block[1, 2] = math.nan
+    block[2, 0] = math.inf
+    with pytest.raises(ValueError, match=r"non-finite loss at row 1, index 2: nan"):
+        exact_dual_min(CTX1, block)
+    with pytest.raises(ValueError, match=r"non-finite loss at row 0, index 1: -inf"):
+        exact_dual_min(CTX1, np.asfortranarray([[0.0, -math.inf], [math.nan, 0.0]]))
+    with pytest.raises(ValueError, match=r"1-d batch or an \(r, B\) block, got shape \(2, 2, 2\)"):
+        exact_dual_min(CTX1, np.zeros((2, 2, 2)))
+    # the value oracle and the bisection reference stay 1-d
+    for call in (lambda: dual_value(CTX1, np.zeros((2, 3)), 0.0),
+                 lambda: dual_min_bisect(CTX1, np.zeros((2, 3)))):
+        with pytest.raises(ValueError, match=r"1-d batch, got shape \(2, 3\)"):
+            call()
+
+
 # --- phi oracle --------------------------------------------------------------
 
 
@@ -440,6 +494,25 @@ def test_phi_two_sample_dual_value():
     ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=1)
     values, _ = phi_oracle(ctx, problem, np.array([0.0]))
     assert values[0] == pytest.approx(1.25, abs=1e-9)
+
+
+def test_phi_oracle_stacks_one_minimizer_call(small_linear, monkeypatch):
+    ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=3)
+    theta = rng(5).normal(0, 1, small_linear.dimension)
+    shapes = []
+
+    def counted(c, losses):
+        shapes.append(np.shape(losses))
+        return exact_dual_min(c, losses)
+
+    monkeypatch.setattr("drmoo.dual.exact_dual_min", counted)
+    values, jac = phi_oracle(ctx, small_linear, theta)
+    assert shapes == [(3, small_linear.num_samples)]
+    for i in range(3):  # bit for bit the per-objective 1-d oracles
+        losses, grads = small_linear.per_sample(i, theta)
+        eta = exact_dual_min(ctx, losses)
+        assert values[i] == dual_value(ctx, losses, eta)
+        assert np.array_equal(jac[:, i], grad_theta(ctx, grads, losses, eta))
 
 
 def test_phi_objective_count_mismatch(small_linear):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from drmoo import metrics
 from drmoo.checks import dual_min_bisect, pareto_brute_force
 from drmoo.dual import DualContext, ObjectiveJacobian, dual_value, exact_dual_min, grad_eta
 from drmoo.metrics import (
@@ -160,6 +161,18 @@ def test_pareto_matches_brute_force_at_scale(size, m, decimals, seed):
     assert pareto_filter(got) == got
 
 
+@pytest.mark.parametrize("budget", [1, 50])
+def test_pareto_filter_row_chunks_match_brute_force(monkeypatch, budget):
+    # budget 1 takes one row per chunk; 50 takes several rows of a small set,
+    # with a partial last chunk
+    monkeypatch.setattr(metrics, "CHUNK_ELEMENTS", budget)
+    g = rng(11)
+    for _ in range(100):
+        shape = (int(g.integers(1, 60)), int(g.integers(2, 5)))
+        pts = _pts(np.round(g.normal(0, 1, shape), 1))
+        assert pareto_filter(pts) == pareto_brute_force(pts)
+
+
 # --- robust frontier ---------------------------------------------------------
 
 
@@ -202,6 +215,35 @@ def test_robust_frontier_matches_bisection_and_brute_force():
     assert [p.theta for p in robust] == [p.theta for p in want]
     for got, ref in zip(robust, want):
         assert got.values == pytest.approx(ref.values, rel=1e-12, abs=0.0)
+    assert nominal == pareto_brute_force(
+        [FrontierPoint(float(t), toy_objectives(spec, float(t))) for t in grid]
+    )
+
+
+@pytest.mark.parametrize(
+    "points, draws, budget",
+    [
+        (401, 200, None),  # 802 rows of 200: three chunks under the default budget
+        (41, 30, 100),  # three rows per chunk, the last one partial
+        (41, 30, 16),  # a budget under one row: one row per chunk
+    ],
+)
+def test_robust_frontier_equals_the_row_by_row_values(monkeypatch, points, draws, budget):
+    if budget is not None:
+        monkeypatch.setattr(metrics, "CHUNK_ELEMENTS", budget)
+    grid = np.linspace(-1.0, 3.0, points)
+    spec = ToySpec(perturbation_std=0.5, grid=tuple(grid))
+    nominal, robust = robust_frontier(spec, num_draws=draws, lam=1.0, seed=3)
+
+    ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=2)
+    specs = perturbation_ensemble(spec, draws, 3)
+    rows = [np.stack([toy_objectives(s, grid)[k] for s in specs]).T for k in (0, 1)]
+    cloud = [
+        FrontierPoint(float(theta), tuple(
+            dual_value(ctx, r[j], exact_dual_min(ctx, r[j])) for r in rows))
+        for j, theta in enumerate(grid)
+    ]
+    assert robust == pareto_brute_force(cloud)  # exact values, not approx
     assert nominal == pareto_brute_force(
         [FrontierPoint(float(t), toy_objectives(spec, float(t))) for t in grid]
     )
