@@ -428,8 +428,8 @@ def check_clip_caps() -> CheckResult:
         lam=1.0, lipschitz_g=problems.estimate_lipschitz(problem), num_objectives=3
     )
     cfg = solvers.DoubleClipConfig(gamma=1e-2, beta=1e-2, rho=1e-5, c1=0.5, c2=0.1,
-                                   f1=0.5, f2=0.1, N1=32, N2=32, T=60, seed=0)
-    tr = solvers.run_double_clip(cfg, problem, ctx)
+                                   f1=0.5, f2=0.1, N1=32, N2=32, T=60, seeds=(0,))
+    tr, = solvers.run_double_clip(cfg, problem, ctx)
     dtheta = tr.diagnostics["theta_step"]
     deta = tr.diagnostics["eta_step"]
     # step norms obey both branches of the clipped min
@@ -455,11 +455,11 @@ def check_trace_reproducibility(tmpdir=None) -> CheckResult:
         lam=1.0, lipschitz_g=problems.estimate_lipschitz(problem), num_objectives=3
     )
     cfg = solvers.DoubleLoopConfig(alpha=1e-4, beta=1e-4, gamma=5e-3, rho=1e-5,
-                                   T=30, D=5, B=16, seed=3)
+                                   T=30, D=5, B=16, seeds=(3,))
     with tempfile.TemporaryDirectory(dir=tmpdir) as td:
         paths = [Path(td) / f"r{k}.csv" for k in range(2)]
         for p in paths:
-            trace.write_trace(solvers.run_double_loop(cfg, problem, ctx), p)
+            trace.write_trace(solvers.run_double_loop(cfg, problem, ctx)[0], p)
         a = trace.read_trace(paths[0])
         b = trace.read_trace(paths[1])
     same = all(np.array_equal(a[k], b[k]) for k in a if k != "wall_ms")

@@ -47,7 +47,7 @@ from .problems import (
     resolve_wine_path,
     toy_problem,
 )
-from .solvers import SOLVERS, SolverDivergence
+from .solvers import SOLVERS
 from .svg import emit_svg_plot, emit_svg_scatter
 from .trace import _fmt, atomic_open, write_trace
 
@@ -112,32 +112,33 @@ def _trace_path(cfg, seed) -> Path:
     return Path(cfg.output_dir) / f"{cfg.name}_seed{seed}.csv"
 
 
-def _run_job(block, seed):
-    """Run one (block, seed) job in a worker and write its trace.
+def _failed(status, text, count):
+    """Results of count seeds that failed with status, text on the first."""
+    return [(status, text if k == 0 else "", None, None) for k in range(count)]
 
-    Returns (status, traceback text or "", window means or None, final
-    samples or None). A pool that breaks SIGTERMs its workers; the handler
-    unwinds the job through atomic_open, which removes its temp file, and
-    the worker then exits without answering.
+
+def _run_job(block, seeds):
+    """Run one (block, seed group) job in a worker and write its traces.
+
+    Returns, per seed of the group, (status, traceback text or "", window
+    means, final samples), with None for both when the group raised. A pool
+    that breaks SIGTERMs its workers; the handler unwinds the job through
+    atomic_open, which removes its temp file, and the worker then exits
+    without answering.
     """
     cfg, problem, ctx = _blocks[block]
     try:
         signal.signal(signal.SIGTERM, _raise_terminated)
-        tr, tb = None, ""
         try:
-            tr = _SOLVER_FNS[cfg.solver](build_solver_config(cfg, seed), problem, ctx)
-            status = "ok"
-        except SolverDivergence as exc:
-            tr = exc.partial_trace
-            status = f"diverged@{exc.iteration}"
+            traces = _SOLVER_FNS[cfg.solver](build_solver_config(cfg, seeds), problem, ctx)
         except Exception as exc:  # one failed job must not lose the others
-            tb = traceback.format_exc()
-            status = f"error:{type(exc).__name__}"
-        if tr is not None:
+            return _failed(f"error:{type(exc).__name__}", traceback.format_exc(), len(seeds))
+        results = []
+        for seed, tr in zip(seeds, traces):
             write_trace(tr, _trace_path(cfg, seed))
-            if len(tr):
-                return status, tb, window_means(tr.balanced_grad), int(tr.samples[-1])
-        return status, tb, None, None
+            status = "ok" if tr.diverged_at is None else f"diverged@{tr.diverged_at}"
+            results.append((status, "", window_means(tr.balanced_grad), int(tr.samples[-1])))
+        return results
     except _Terminated:
         os._exit(1)
     finally:
@@ -158,18 +159,22 @@ def _submit(pool, job) -> Future:
 def run_experiment(runs, echo=print) -> int:
     """Execute parsed run blocks and write their artifacts.
 
-    Jobs, one per (run, seed), run in a pool of forked worker processes, one
-    per CPU this process may use (at most one per job). Each job writes one
-    trace CSV under the block's output_dir; then one summary.csv per
-    output_dir aggregates the first/last-20-iteration balanced-gradient
-    windows across seeds. Results are read, echoed and summarized in config
-    order, so every artifact is the same as from running the jobs one after
-    another. Solver divergence is recorded in the summary status column (its
-    partial trace still gets written) and does not fail the invocation. Any
-    other exception in a job goes to stderr with its traceback and is
-    recorded as error:<type>, and the other jobs still run; so is a failed
-    trace write (one line on stderr). A worker that dies records its job,
-    and every job the broken pool could not finish, as
+    A job is one group of a block's seeds, which its solver runs in
+    lockstep: each block's seeds are cut into ceil(CPUs / blocks) contiguous
+    groups, so a config of fewer blocks than CPUs still keeps every CPU busy.
+    The jobs run in a pool of forked worker processes, one per CPU this
+    process may use (at most one per job). A job writes one trace CSV per
+    seed under the block's output_dir, whose wall_ms is its group's clock;
+    then one summary.csv per output_dir aggregates the
+    first/last-20-iteration balanced-gradient windows across seeds. Results
+    are read, echoed and summarized in config order, and every trace is the
+    same as from running each seed alone. Solver divergence is recorded per
+    seed in the summary status column (its partial trace still gets written)
+    and does not fail the invocation. Any other exception in a job goes to
+    stderr with its traceback and is recorded as error:<type> for each seed
+    of its group, and the other jobs still run; so is a failed trace write
+    (one line on stderr). A worker that dies records each seed of its job,
+    and of every job the broken pool could not finish, as
     error:BrokenProcessPool. Config trouble and problem-build I/O errors
     raise ConfigError/OSError before any job starts. Returns the process
     exit status: 0, or 1 when a job raised.
@@ -180,30 +185,33 @@ def run_experiment(runs, echo=print) -> int:
     """
     problems = [_build_problem(cfg) for cfg in runs]  # all built before any job runs
     blocks = [(cfg, p, _make_context(cfg, p)) for cfg, p in zip(runs, problems)]
-    jobs = [(b, seed) for b, (cfg, _, _) in enumerate(blocks) for seed in cfg.seeds]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cpus = cpus or 1
+    groups = -(-cpus // len(blocks))
+    jobs = [(b, tuple(map(int, group))) for b, (cfg, _, _) in enumerate(blocks)
+            for group in np.array_split(cfg.seeds, min(groups, len(cfg.seeds)))]
     pool = ProcessPoolExecutor(
-        max_workers=min(cpus or 1, len(jobs)),
+        max_workers=min(cpus, len(jobs)),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
         initargs=(blocks,),
     )
     try:
         results = []
-        for fut in [_submit(pool, job) for job in jobs]:
+        for fut, (_, group) in zip([_submit(pool, job) for job in jobs], jobs):
             try:
-                results.append(fut.result())
-            except Exception as exc:  # its trace write failed or its worker died
+                results += fut.result()
+            except Exception as exc:  # a trace write failed or its worker died
                 # one line: a broken pool raises one exception object for every
                 # pending job, and its traceback grows with each raise
                 line = "".join(traceback.format_exception_only(exc))
-                results.append((f"error:{type(exc).__name__}", line, None, None))
+                results += _failed(f"error:{type(exc).__name__}", line, len(group))
     finally:
         pool.shutdown(cancel_futures=True)
 
     by_dir = {}
     exit_status = 0
-    results = iter(results)  # in job order, which is config order
+    results = iter(results)  # in job order, which is config and seed order
     for cfg, _, _ in blocks:
         inits, finals, samples, bad = [], [], [0], []
         for seed in cfg.seeds:

@@ -76,7 +76,7 @@ class ExperimentConfig:
     toy_std: float = 0.5
     output_dir: str = "runs"
     wine_path: str = None
-    params: dict = field(default_factory=dict)  # the solver config's fields but seed
+    params: dict = field(default_factory=dict)  # the solver config's fields but seeds
 
 
 def _convert(key, raw, typ, lineno, valid=None):
@@ -125,7 +125,7 @@ def _finish_block(name, section_line, entries, globals_):
         raise ConfigError(f"line {sl}: unknown solver {solver!r}; choose from {tuple(SOLVERS)}")
 
     default = SOLVERS[solver][1]
-    solver_types = {f.name: f.type for f in fields(default) if f.name != "seed"}
+    solver_types = {f.name: f.type for f in fields(default) if f.name != "seeds"}
     if solver == "double_clip":
         solver_types["B"] = int
     cfg = ExperimentConfig(name=name, problem=problem, solver=solver, seeds=[0], **globals_)
@@ -148,7 +148,7 @@ def _finish_block(name, section_line, entries, globals_):
         built = replace(default, **params)
     except ValueError as exc:
         raise ConfigError(f"line {section_line}: [run.{name}]: {exc}") from None
-    cfg.params = {f.name: getattr(built, f.name) for f in fields(built) if f.name != "seed"}
+    cfg.params = {f.name: getattr(built, f.name) for f in fields(built) if f.name != "seeds"}
     return cfg
 
 
@@ -199,9 +199,9 @@ def parse_config(text: str):
     return runs
 
 
-def build_solver_config(cfg: ExperimentConfig, seed: int):
-    """The solver config of one seed of a run block."""
-    return replace(SOLVERS[cfg.solver][1], **cfg.params, seed=seed)
+def build_solver_config(cfg: ExperimentConfig, seeds):
+    """The solver config of a group of a run block's seeds, run in lockstep."""
+    return replace(SOLVERS[cfg.solver][1], **cfg.params, seeds=tuple(seeds))
 
 
 def preset_names():

@@ -142,20 +142,23 @@ def grad_theta(ctx: DualContext, per_sample_grads, losses, eta_i: float) -> np.n
 
 
 def batch_oracle(ctx: DualContext, losses, slopes, rows, etas):
-    """dual_value, grad_theta and grad_eta of all m objectives on one batch:
-    values (m,), theta-gradients (n, m) and eta-gradients (m,).
+    """dual_value, grad_theta and grad_eta of every row of a batch: values
+    (..., r), theta-gradients (..., n, r) and eta-gradients (..., r).
 
-    The batch is MultiTaskProblem.sample_batch's (m, B) losses l and slopes
-    l' and its rows X, (m, B, n) or one shared (B, n) array; sample j of
-    objective i has loss gradient l'_ij x_ij, and etas holds the m dual
-    scalars. The conjugate weights w are formed once, and column i of the
-    theta-gradients is X_i^T (w_i o l'_i) / B without (B, n) gradients.
+    The batch is MultiTaskProblem.sample_batch's (..., r, B) losses l and
+    slopes l' and its rows X, (..., r, B, n) or one shared (B, n) array;
+    sample j of row i has loss gradient l'_ij x_ij, and etas holds the
+    (..., r) dual scalars. The leading axes (the seeds of a lockstep run) and
+    the r rows (objectives, stacked over estimators) are independent: each
+    slice gets the arithmetic it would get alone. The conjugate weights w are
+    formed once, and column i of the theta-gradients is X_i^T (w_i o l'_i) / B
+    without (B, n) gradients.
     """
-    b = losses.shape[1]
-    u = np.maximum((losses - etas[:, None]) / ctx.lam + 2.0, 0.0)  # (t + 2)_+ = 2 w
-    values = ctx.lam * (0.25 * (u[:, None, :] @ u[:, :, None])[:, 0, 0] / b - 1.0) + etas
-    theta_grads = ((u * slopes)[:, None, :] @ rows)[:, 0, :].T * (0.5 / b)
-    return values, theta_grads, 1.0 - 0.5 * u.sum(axis=1) / b
+    b = losses.shape[-1]
+    u = np.maximum((losses - etas[..., None]) / ctx.lam + 2.0, 0.0)  # (t + 2)_+ = 2 w
+    values = ctx.lam * (0.25 * (u[..., None, :] @ u[..., :, None])[..., 0, 0] / b - 1.0) + etas
+    theta_grads = ((u * slopes)[..., None, :] @ rows)[..., 0, :].swapaxes(-1, -2) * (0.5 / b)
+    return values, theta_grads, 1.0 - 0.5 * u.sum(axis=-1) / b
 
 
 def rescaled_grads(ctx: DualContext, batches, theta, eta) -> ObjectiveJacobian:

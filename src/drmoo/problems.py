@@ -127,20 +127,24 @@ class MultiTaskProblem:
         return losses, grads
 
     def sample_batch(self, theta, idx=None):
-        """(losses, slopes, rows) of every objective at theta from one gather
-        and one matmul. idx is an (m, B) integer array, row i picking
-        objective i's batch, or None for the full dataset. losses and slopes
-        are (m, B); rows are the gathered (m, B, n) rows, or for the full
-        batch the stored (N, n) features themselves (no copy), which every
-        objective shares. Sample j of objective i has loss gradient
-        slopes[i, j] times its row; offsets shift losses, never slopes.
+        """(losses, slopes, rows) at theta from one gather and one matmul.
+
+        theta is (n,) or an (S, n) stack, one parameter per seed. idx is a
+        (k*m, B) integer array, or an (S, k*m, B) block with one per seed,
+        whose row r*m + i picks objective i's batch for the k-th of k
+        estimators; None means the full dataset. losses and slopes are
+        (..., k*m, B), with an (S, m, N) pair for a stacked full batch; rows
+        are the gathered (..., k*m, B, n) rows, or for the full batch the
+        stored (N, n) features themselves (no copy), which every objective
+        shares. Sample j of row i has loss gradient slopes[..., i, j] times
+        its row; offsets shift losses, never slopes.
         """
         x, y, off = self.features, self.labels, self.offsets
         if idx is not None:
-            flat = idx + self._row0
+            flat = idx + np.tile(self._row0, (idx.shape[-2] // y.shape[0], 1))
             x, y = x.take(idx, axis=0), y.take(flat)
             off = None if off is None else off.take(flat)
-        z = x @ theta
+        z = (x @ theta[..., None, :, None])[..., 0]
         if self.loss_kind == LOSS_SQUARED:
             r = z - y
             losses, slopes = r * r, 2.0 * r

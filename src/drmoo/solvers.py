@@ -18,7 +18,9 @@ All four share one outer loop, _mgda_loop, which owns the start state, the
 trace, the surrogate cadence, the sample count, the preference step
 w <- project(w - beta (G w + rho w)) and the divergence check; each solver
 supplies its index streams and a per-step estimator of the parameter
-direction, the dual update and the gram product G w.
+direction, the dual update and the gram product G w. A run steps the seeds
+of its config in lockstep, one RunTrace per seed: every state array has a
+leading seed axis, so one gather and oracle call serve all seeds and roles.
 
 SOLVERS maps each name to its run function and default config; the config
 dataclasses' fields and defaults are the hyperparameter schema of
@@ -26,9 +28,11 @@ dataclasses' fields and defaults are the hyperparameter schema of
 
 Determinism: every random draw comes from a stream keyed by
 (seed, role, objective) through SeedSequence spawn keys, so identical
-(config, problem, seed) reproduce bit-identical traces. Each stream draws
-DRAW_CHUNK steps of indices per call, and a block of c steps holds the
-values of c per-step draws (tests pin this), so the chunk changes no trace.
+(config, problem, seed) reproduce bit-identical traces. Each stream draws a
+chunk of steps of indices per call, and a block of c steps holds the values
+of c per-step draws (tests pin this), so the chunk changes no trace. Every
+operation acts on each seed's slice as on that seed alone, so a seed's trace
+is bit for bit the same whichever seeds run beside it (tests pin this too).
 A run is strictly sequential and keeps its state in local variables.
 """
 
@@ -57,9 +61,11 @@ ROLE_JOINT_B = 8
 
 SURROGATE_EVERY = 10  # full-batch stationarity surrogate cadence, in iterations
 
-# steps of indices each stream draws per call: the double loop's nine batch
-# streams then hold 50 * 9 * 256 int64 indices (0.9 MB) at B = 256
+# steps of indices each stream draws per call, fewer when the held block of
+# all streams would pass DRAW_ELEMENTS int64 indices (8 MB): five seeds of the
+# double loop's nine batch streams hold 50 * 45 * 256 (4.6 MB) at B = 256
 DRAW_CHUNK = 50
+DRAW_ELEMENTS = 1 << 20
 
 
 def make_stream(seed: int, role: int, objective: int) -> np.random.Generator:
@@ -90,6 +96,8 @@ class RunTrace:
         variable).
     diagnostics: solver-specific per-iteration arrays (clip factors, step
         norms, ...).
+    diverged_at: None, or the iteration whose update went non-finite; the
+        trace then ends with that iteration's row.
     """
 
     iterations: np.ndarray
@@ -101,6 +109,7 @@ class RunTrace:
     w: np.ndarray
     eta: np.ndarray
     diagnostics: dict
+    diverged_at: int = None
 
     def __len__(self):
         return self.iterations.shape[0]
@@ -108,15 +117,6 @@ class RunTrace:
     @property
     def num_objectives(self) -> int:
         return self.losses.shape[1]
-
-
-class SolverDivergence(RuntimeError):
-    """Raised when an iterate stops being finite; carries the partial trace."""
-
-    def __init__(self, iteration: int, partial_trace: RunTrace):
-        super().__init__(f"divergence at iteration {iteration}")
-        self.iteration = iteration
-        self.partial_trace = partial_trace
 
 
 def _require_finite(cfg):
@@ -136,7 +136,7 @@ class DoubleLoopConfig:
     T: int = 600  # outer iterations
     D: int = 20  # inner iterations
     B: int = 256  # outer batch size
-    seed: int = 0
+    seeds: tuple = (0,)  # run in lockstep
 
     def __post_init__(self):
         _require_finite(self)
@@ -160,7 +160,7 @@ class DoubleClipConfig:
     N1: int = 256  # theta-gradient batch size
     N2: int = 256  # eta-gradient batch size
     T: int = 600
-    seed: int = 0
+    seeds: tuple = (0,)
 
     def __post_init__(self):
         _require_finite(self)
@@ -183,7 +183,7 @@ class BaselineConfig:
     rho: float = 1e-5
     T: int = 600
     B: int = 256
-    seed: int = 0
+    seeds: tuple = (0,)
 
     def __post_init__(self):
         _require_finite(self)
@@ -195,19 +195,35 @@ class BaselineConfig:
             raise ValueError("T and B must be >= 1")
 
 
-def _index_steps(seed, role, m, high, size, steps):
-    """The (m, size) index arrays of `steps` steps of one role, row i drawn
-    uniformly from {0..high-1} by stream (seed, role, i), DRAW_CHUNK steps
-    per call."""
-    streams = [make_stream(seed, role, i) for i in range(m)]
-    for start in range(0, steps, DRAW_CHUNK):
-        c = min(DRAW_CHUNK, steps - start)
-        yield from np.stack([rng.integers(0, high, size=(c, size)) for rng in streams], axis=1)
+def _index_steps(seeds, roles, m, high, size, steps):
+    """The (S, k*m, size) index blocks of `steps` steps for S seeds and k
+    roles: row r*m + i of seed s is drawn uniformly from {0..high-1} by
+    stream (seeds[s], roles[r], i), each stream drawing up to DRAW_CHUNK
+    steps per call."""
+    streams = [make_stream(seed, role, i) for seed in seeds for role in roles for i in range(m)]
+    chunk = min(DRAW_CHUNK, max(1, DRAW_ELEMENTS // (len(streams) * size)))
+    for start in range(0, steps, chunk):
+        c = min(chunk, steps - start)
+        block = np.stack([rng.integers(0, high, size=(c, size)) for rng in streams], axis=1)
+        yield from block.reshape(c, len(seeds), -1, size)
 
 
-def _oracle(ctx, problem, theta, steps, etas):
-    """batch_oracle at theta and etas on the next stacked batch of steps."""
-    return batch_oracle(ctx, *problem.sample_batch(theta, next(steps)), etas)
+def _norms(x):
+    """Row norms of x, each the sqrt of one dot product, as np.linalg.norm."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def _clip(cap, threshold, norm):
+    """min(cap, threshold / norm) per entry, with x/0 = +inf (so a zero norm
+    gets the cap) and, as Python's min gives it, the cap for a nan norm."""
+    with np.errstate(divide="ignore"):
+        q = threshold / norm
+    return np.where(q < cap, q, cap)
+
+
+def _matvec(a, v):
+    """a[s] @ v[s] for each seed s: (S, p, q) matrices and (S, q) vectors."""
+    return (a @ v[..., None])[..., 0]
 
 
 def inner_eta_descent(losses, eta, gamma, lam):
@@ -221,67 +237,82 @@ def inner_eta_descent(losses, eta, gamma, lam):
     return traj, eta
 
 
-def _full_surrogate(problem, ctx, theta, eta_eff, w) -> float:
-    """Full-batch stationarity surrogate at (theta, eta_eff) and w."""
+def _full_surrogate(problem, ctx, theta, eta_eff, w) -> list:
+    """Full-batch stationarity surrogate of each seed at its (theta, eta_eff)
+    and w, from one evaluation and one oracle call for all seeds."""
     _, cols, egr = batch_oracle(ctx, *problem.full_eval(theta), eta_eff)
-    return surrogate_stationarity(ObjectiveJacobian(cols, egr), w, ctx.lipschitz_g)
+    return [surrogate_stationarity(ObjectiveJacobian(c, e), ws, ctx.lipschitz_g)
+            for c, e, ws in zip(cols, egr, w)]
 
 
-def _mgda_loop(cfg, problem, ctx: DualContext, per_step, step, diagnostics) -> RunTrace:
-    """The outer iteration every solver shares, from theta = 0, eta = 0 and
-    uniform w, for cfg.T steps that each consume per_step samples.
+def _mgda_loop(cfg, problem, ctx: DualContext, per_step, step, diagnostics) -> list:
+    """The outer iteration every solver shares, for each seed of cfg.seeds
+    from theta = 0, eta = 0 and uniform w, for cfg.T steps that each consume
+    per_step samples; returns one RunTrace per seed.
 
-    step(t, theta, eta, w) estimates one step and returns (losses,
-    direction, lr, eta_log, eta_eff, eta_next, gram_w): theta moves by
-    -lr * direction, eta becomes eta_next, and the preference step is
-    w <- project(w - beta (gram_w + rho w)). The trace logs eta_log and
-    the surrogate is taken at the pre-step theta and the dual scalars
-    eta_eff. step may fill row t of the diagnostics arrays.
+    step(t, theta, eta, w) takes the (S, n), (S, m) and (S, m) states of the
+    S seeds and returns per-seed (losses, direction, lr, eta_log, eta_eff,
+    eta_next, gram_w): theta moves by -lr * direction, eta becomes eta_next,
+    and the preference step is w <- project(w - beta (gram_w + rho w)). The
+    trace logs eta_log and the surrogate is taken at the pre-step theta and
+    the dual scalars eta_eff. step may fill column t of the (S, T)
+    diagnostics arrays. A seed whose update goes non-finite ends its trace
+    with that step's row and keeps its last finite state; the others run on.
     """
     m = problem.num_objectives
     if m != ctx.num_objectives:
         raise ValueError(f"problem has {m} objectives, context expects {ctx.num_objectives}")
-    theta = np.zeros(problem.dimension)
-    eta = np.zeros(m)
-    w = uniform_preference(m)
-    trace = RunTrace(
-        iterations=np.arange(cfg.T),
-        samples=per_step * np.arange(1, cfg.T + 1, dtype=np.int64),
-        wall_ms=np.zeros(cfg.T),
-        losses=np.zeros((cfg.T, m)),
-        balanced_grad=np.zeros(cfg.T),
-        surrogate_stat=np.zeros(cfg.T),
-        w=np.zeros((cfg.T, m)),
-        eta=np.zeros((cfg.T, m)),
-        diagnostics=diagnostics,
-    )
+    n_seeds, steps = len(cfg.seeds), cfg.T
+    theta = np.zeros((n_seeds, problem.dimension))
+    eta = np.zeros((n_seeds, m))
+    w = np.tile(uniform_preference(m), (n_seeds, 1))
+    wall_ms = np.zeros(steps)
+    log = {name: np.zeros((n_seeds, steps, m)) for name in ("losses", "w", "eta")}
+    log.update(balanced_grad=np.zeros((n_seeds, steps)), surrogate_stat=np.zeros((n_seeds, steps)))
+    live = np.ones(n_seeds, dtype=bool)
+    diverged_at = [None] * n_seeds
     t0 = time.perf_counter()
-    for t in range(cfg.T):
+    for t in range(steps):
         losses, direction, lr, eta_log, eta_eff, eta_next, gram_w = step(t, theta, eta, w)
         if t % SURROGATE_EVERY == 0:
             surrogate = _full_surrogate(problem, ctx, theta, eta_eff, w)
-        trace.wall_ms[t] = (time.perf_counter() - t0) * 1000.0
-        trace.losses[t] = losses
-        trace.balanced_grad[t] = float(np.linalg.norm(direction))
-        trace.surrogate_stat[t] = surrogate
-        trace.w[t] = w
-        trace.eta[t] = eta_log
+        wall_ms[t] = (time.perf_counter() - t0) * 1000.0
+        log["losses"][:, t] = losses
+        log["balanced_grad"][:, t] = _norms(direction)
+        log["surrogate_stat"][:, t] = surrogate
+        log["w"][:, t] = w
+        log["eta"][:, t] = eta_log
 
         # divergence must be caught on the raw update, before the projection
         # chokes on non-finite input
-        theta = theta - lr * direction
-        eta = eta_next
+        theta_next = theta - lr * direction
         w_pre = w - cfg.beta * (gram_w + cfg.rho * w)
-        if not np.isfinite(np.concatenate((theta, eta, w_pre))).all():
-            rows = {f.name: getattr(trace, f.name)[: t + 1] for f in fields(RunTrace)
-                    if f.name != "diagnostics"}
-            diag = {k: v[: t + 1] for k, v in diagnostics.items()}
-            raise SolverDivergence(t, RunTrace(**rows, diagnostics=diag))
-        w = project_simplex(w_pre)
-    return trace
+        finite = np.isfinite(np.concatenate((theta_next, eta_next, w_pre), axis=1)).all(axis=1)
+        for s in np.flatnonzero(live & ~finite):
+            diverged_at[s] = t
+        live &= finite
+        theta = np.where(live[:, None], theta_next, theta)
+        eta = np.where(live[:, None], eta_next, eta)
+        for s in np.flatnonzero(live):
+            w[s] = project_simplex(w_pre[s])
+        if not live.any():
+            break
+
+    traces = []
+    for s, stop in enumerate(diverged_at):
+        rows = steps if stop is None else stop + 1
+        traces.append(RunTrace(
+            iterations=np.arange(rows),
+            samples=per_step * np.arange(1, rows + 1, dtype=np.int64),
+            wall_ms=wall_ms[:rows],
+            **{name: arr[s, :rows] for name, arr in log.items()},
+            diagnostics={name: arr[s, :rows] for name, arr in diagnostics.items()},
+            diverged_at=stop,
+        ))
+    return traces
 
 
-def run_double_loop(cfg: DoubleLoopConfig, problem, ctx: DualContext) -> RunTrace:
+def run_double_loop(cfg: DoubleLoopConfig, problem, ctx: DualContext) -> list:
     """Double-loop iteration on L(theta, eta).
 
     Per outer step t: (a) each objective runs D single-sample SGD steps on
@@ -293,37 +324,39 @@ def run_double_loop(cfg: DoubleLoopConfig, problem, ctx: DualContext) -> RunTrac
     (d) theta step along Y_t w_t; (e) preference step
     w <- project(w - beta (Ybar^T Ytilde w + rho w)).
 
-    Consumes exactly T*(m*D + 3*B*m) samples.
+    Consumes exactly T*(m*D + 3*B*m) samples per seed.
     """
-    m, big_n = problem.num_objectives, problem.num_samples
-    inner = _index_steps(cfg.seed, ROLE_INNER, m, big_n, cfg.D, cfg.T)
-    ybat = _index_steps(cfg.seed, ROLE_Y, m, big_n, cfg.B, cfg.T)
-    ybarbat = _index_steps(cfg.seed, ROLE_YBAR, m, big_n, cfg.B, cfg.T)
-    ytilbat = _index_steps(cfg.seed, ROLE_YTILDE, m, big_n, cfg.B, cfg.T)
-    triples = _index_steps(cfg.seed, ROLE_INDEX, 1, cfg.D, 3, cfg.T)
+    m, big_n, n_seeds = problem.num_objectives, problem.num_samples, len(cfg.seeds)
+    inner = _index_steps(cfg.seeds, (ROLE_INNER,), m, big_n, cfg.D, cfg.T)
+    batches = _index_steps(cfg.seeds, (ROLE_Y, ROLE_YBAR, ROLE_YTILDE), m, big_n, cfg.B, cfg.T)
+    triples = _index_steps(cfg.seeds, (ROLE_INDEX,), 1, cfg.D, 3, cfg.T)
+    seed_ax, objectives = np.arange(n_seeds)[:, None, None], np.arange(m)
 
     def step(t, theta, eta, w):
         # (a) inner dual descent, one fresh sample per step per objective; the
-        # final iterate, written into eta, warm-starts the next outer iteration
-        traj = np.empty((m, cfg.D))
-        losses = problem.sample_batch(theta, next(inner))[0].tolist()
-        for i in range(m):
-            traj[i], eta[i] = inner_eta_descent(losses[i], float(eta[i]), cfg.gamma, ctx.lam)
+        # final iterate warm-starts the next outer iteration
+        traj = np.empty((n_seeds, m, cfg.D))
+        eta_next = np.empty((n_seeds, m))
+        losses, warm = problem.sample_batch(theta, next(inner))[0].tolist(), eta.tolist()
+        for s in range(n_seeds):
+            for i in range(m):
+                traj[s, i], eta_next[s, i] = inner_eta_descent(
+                    losses[s][i], warm[s][i], cfg.gamma, ctx.lam)
 
-        # (b) trajectory indices, one triple shared across objectives
-        d_y, d_bar, d_til = next(triples)[0]
-
-        # (c) three independent batch estimators
-        loss_log, y_mat, _ = _oracle(ctx, problem, theta, ybat, traj[:, d_y])
-        _, ybar_mat, _ = _oracle(ctx, problem, theta, ybarbat, traj[:, d_bar])
-        _, ytil_mat, _ = _oracle(ctx, problem, theta, ytilbat, traj[:, d_til])
-        gram_w = (ybar_mat.T @ ytil_mat) @ w
-        return loss_log, y_mat @ w, cfg.alpha, traj[:, d_y], traj[:, d_y], eta, gram_w
+        # (b) trajectory indices, one triple per seed shared across objectives;
+        # (c) the Y, Ybar and Ytilde batches at their dual scalars, as one
+        # (S, 3m) block in that order
+        etas = traj[seed_ax, objectives, next(triples)[:, 0, :, None]].reshape(n_seeds, 3 * m)
+        values, grads, _ = batch_oracle(ctx, *problem.sample_batch(theta, next(batches)), etas)
+        y_mat, ybar_mat, ytil_mat = grads[..., :m], grads[..., m:2 * m], grads[..., 2 * m:]
+        gram_w = _matvec(ybar_mat.swapaxes(-1, -2) @ ytil_mat, w)
+        eta_y = etas[:, :m]
+        return values[:, :m], _matvec(y_mat, w), cfg.alpha, eta_y, eta_y, eta_next, gram_w
 
     return _mgda_loop(cfg, problem, ctx, m * cfg.D + 3 * cfg.B * m, step, {})
 
 
-def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> RunTrace:
+def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> list:
     """Single-loop clipped iteration on the rescaled objective Lhat.
 
     Per step: Z_t = batched eta-gradient of Lhat at (theta_t, eta_t) over N2
@@ -341,67 +374,68 @@ def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> RunTrac
     """
     m = problem.num_objectives
     scale = ctx.eta_scale
-    zbat = _index_steps(cfg.seed, ROLE_Z, m, problem.num_samples, cfg.N2, cfg.T)
-    xbat = _index_steps(cfg.seed, ROLE_X, m, problem.num_samples, cfg.N1, cfg.T)
+    zbat = _index_steps(cfg.seeds, (ROLE_Z,), m, problem.num_samples, cfg.N2, cfg.T)
+    xbat = _index_steps(cfg.seeds, (ROLE_X,), m, problem.num_samples, cfg.N1, cfg.T)
     diag = {
-        name: np.zeros(cfg.T)
+        name: np.zeros((len(cfg.seeds), cfg.T))
         for name in ("alpha_t", "mu_t", "theta_step", "eta_step", "xw_norm", "zw_norm")
     }
 
     def step(t, theta, eta, w):
         # eta block at eta_t: grad_eta of every objective, from the losses only
         z_losses = problem.sample_batch(theta, next(zbat))[0]
-        u = np.maximum((z_losses - (scale * eta)[:, None]) / ctx.lam + 2.0, 0.0)
-        z_vec = scale * (1.0 - np.mean(0.5 * u, axis=1))
+        u = np.maximum((z_losses - (scale * eta)[..., None]) / ctx.lam + 2.0, 0.0)
+        z_vec = scale * (1.0 - np.mean(0.5 * u, axis=-1))
         zw = z_vec * w
-        zw_norm = float(np.linalg.norm(zw))
-        mu = cfg.f1 if zw_norm == 0.0 else min(cfg.f1, cfg.f2 / zw_norm)
-        eta_next = eta - cfg.gamma * mu * zw
+        zw_norm = _norms(zw)
+        mu = _clip(cfg.f1, cfg.f2, zw_norm)
+        eta_next = eta - (cfg.gamma * mu)[:, None] * zw
 
         # theta block at the fresh dual iterate
         eta_eff = scale * eta_next
-        loss_log, x_mat, _ = _oracle(ctx, problem, theta, xbat, eta_eff)
-        xw = x_mat @ w
-        xw_norm = float(np.linalg.norm(xw))
-        alpha = cfg.c1 if xw_norm == 0.0 else min(cfg.c1, cfg.c2 / xw_norm)
+        loss_log, x_mat, _ = batch_oracle(ctx, *problem.sample_batch(theta, next(xbat)), eta_eff)
+        xw = _matvec(x_mat, w)
+        xw_norm = _norms(xw)
+        alpha = _clip(cfg.c1, cfg.c2, xw_norm)
 
-        diag["alpha_t"][t] = alpha
-        diag["mu_t"][t] = mu
-        diag["xw_norm"][t] = xw_norm
-        diag["zw_norm"][t] = zw_norm
-        diag["theta_step"][t] = cfg.gamma * alpha * xw_norm
-        diag["eta_step"][t] = cfg.gamma * mu * zw_norm
-        gram_w = alpha * (x_mat.T @ xw) + mu * (z_vec * z_vec * w)
-        return loss_log, xw, cfg.gamma * alpha, eta_next, eta_eff, eta_next, gram_w
+        diag["alpha_t"][:, t] = alpha
+        diag["mu_t"][:, t] = mu
+        diag["xw_norm"][:, t] = xw_norm
+        diag["zw_norm"][:, t] = zw_norm
+        diag["theta_step"][:, t] = cfg.gamma * alpha * xw_norm
+        diag["eta_step"][:, t] = cfg.gamma * mu * zw_norm
+        gram_w = (alpha[:, None] * _matvec(x_mat.swapaxes(-1, -2), xw)
+                  + mu[:, None] * (z_vec * z_vec * w))
+        return loss_log, xw, (cfg.gamma * alpha)[:, None], eta_next, eta_eff, eta_next, gram_w
 
     return _mgda_loop(cfg, problem, ctx, m * (cfg.N2 + cfg.N1), step, diag)
 
 
-def _run_joint_baseline(cfg: BaselineConfig, problem, ctx, double_sampling: bool) -> RunTrace:
+def _run_joint_baseline(cfg: BaselineConfig, problem, ctx, double_sampling: bool) -> list:
     m = problem.num_objectives
-    abat = _index_steps(cfg.seed, ROLE_JOINT_A, m, problem.num_samples, cfg.B, cfg.T)
-    bbat = _index_steps(cfg.seed, ROLE_JOINT_B, m, problem.num_samples, cfg.B, cfg.T)
+    roles = (ROLE_JOINT_A, ROLE_JOINT_B) if double_sampling else (ROLE_JOINT_A,)
+    batches = _index_steps(cfg.seeds, roles, m, problem.num_samples, cfg.B, cfg.T)
 
     def step(t, theta, eta, w):
-        loss_log, ja, ga = _oracle(ctx, problem, theta, abat, eta)
-        jb, gb = ja, ga
-        if double_sampling:
-            _, jb, gb = _oracle(ctx, problem, theta, bbat, eta)
+        # one oracle call for batch A and, with double sampling, batch B; jb
+        # and gb are ja and ga (the same arrays) when there is no batch B
+        values, grads, egrads = batch_oracle(
+            ctx, *problem.sample_batch(theta, next(batches)), np.tile(eta, len(roles)))
+        ja, jb, ga, gb = grads[..., :m], grads[..., -m:], egrads[:, :m], egrads[:, -m:]
         # joint (theta, eta) step; the eta block of the jacobian is diagonal
-        gram_w = (ja.T @ jb) @ w + (ga * gb) * w
-        return loss_log, ja @ w, cfg.lr, eta, eta, eta - cfg.lr * (ga * w), gram_w
+        gram_w = _matvec(ja.swapaxes(-1, -2) @ jb, w) + (ga * gb) * w
+        return values[:, :m], _matvec(ja, w), cfg.lr, eta, eta, eta - cfg.lr * (ga * w), gram_w
 
-    batches = 2 if double_sampling else 1
-    return _mgda_loop(cfg, problem, ctx, batches * m * cfg.B, step, {})
+    return _mgda_loop(cfg, problem, ctx, len(roles) * m * cfg.B, step, {})
 
 
-def run_stochastic_mgda(cfg: BaselineConfig, problem, ctx: DualContext) -> RunTrace:
+def run_stochastic_mgda(cfg: BaselineConfig, problem, ctx: DualContext) -> list:
     """Joint-SGD baseline; one shared batch feeds both the parameter step
     and the preference gram estimator (the latter is biased by design)."""
     return _run_joint_baseline(cfg, problem, ctx, double_sampling=False)
 
 
-def run_modo(cfg: BaselineConfig, problem, ctx: DualContext) -> RunTrace:
+def run_modo(cfg: BaselineConfig, problem, ctx: DualContext) -> list:
     """Double-sampling baseline: like run_stochastic_mgda, but the
     preference gram uses a second, independent batch (unbiased product);
     consumes twice the samples per iteration."""

@@ -50,18 +50,19 @@ def atomic_open(path):
 
 
 def write_trace(trace, path) -> Path:
-    """Write a solvers.RunTrace as CSV (schema above); returns the path."""
+    """Write a solvers.RunTrace as CSV (schema above); returns the path.
+
+    Each row is one %-format of its two integers and its reals, and %.17g
+    writes a float as _fmt does (tests pin this)."""
     path = Path(path)
     m = trace.num_objectives
+    row = "%d,%d" + ",%.17g" * (3 * m + 3) + "\n"
+    reals = np.column_stack((trace.wall_ms, trace.losses, trace.balanced_grad,
+                             trace.surrogate_stat, trace.w, trace.eta)).tolist()
+    body = "".join(row % (i, n, *r) for i, n, r in
+                   zip(trace.iterations.tolist(), trace.samples.tolist(), reals))
     with atomic_open(path) as fh:
-        fh.write(",".join(trace_header(m)) + "\n")
-        for t in range(len(trace)):
-            row = [str(int(trace.iterations[t])), str(int(trace.samples[t])), _fmt(trace.wall_ms[t])]
-            row += [_fmt(v) for v in trace.losses[t]]
-            row += [_fmt(trace.balanced_grad[t]), _fmt(trace.surrogate_stat[t])]
-            row += [_fmt(v) for v in trace.w[t]]
-            row += [_fmt(v) for v in trace.eta[t]]
-            fh.write(",".join(row) + "\n")
+        fh.write(",".join(trace_header(m)) + "\n" + body)
     return path
 
 

@@ -349,15 +349,15 @@ def test_criterion_09_double_clip_step_caps():
         lam=1.0, lipschitz_g=estimate_lipschitz(problem), num_objectives=3
     )
     cfg = DoubleClipConfig(gamma=1e-2, beta=5e-4, rho=1e-5, c1=0.5, c2=0.1,
-                           f1=0.5, f2=0.1, N1=16, N2=16, T=80, seed=5)
-    tr = run_double_clip(cfg, tap, ctx)
+                           f1=0.5, f2=0.1, N1=16, N2=16, T=80, seeds=(5,))
+    tr, = run_double_clip(cfg, tap, ctx)
 
     m = problem.num_objectives
     # one stacked sample for the Z block and one for the X block per step
     assert len(tap.thetas) == 2 * cfg.T
     groups = [tap.thetas[2 * t: 2 * (t + 1)] for t in range(cfg.T)]
     same_within = all(np.array_equal(g[0], gk) for g in groups for gk in g)
-    observed = np.array([g[0] for g in groups])  # (T, n) thetas entering each step
+    observed = np.array([g[0][0] for g in groups])  # (T, n) thetas entering each step
     dtheta = np.linalg.norm(np.diff(observed, axis=0), axis=1)
     deta = np.linalg.norm(np.diff(np.vstack([np.zeros(m), tr.eta]), axis=0), axis=1)
     worst_theta = float((dtheta - cfg.gamma * cfg.c2).max())

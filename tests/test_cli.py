@@ -14,7 +14,6 @@ from drmoo.checks import CheckResult
 from drmoo.config import build_solver_config, parse_config
 from drmoo.metrics import window_means
 from drmoo.problems import WINE_ENV
-from drmoo.solvers import SolverDivergence
 from drmoo.svg import HEIGHT, WIDTH, emit_svg_plot, emit_svg_scatter
 from drmoo.trace import atomic_open, read_trace, write_trace
 
@@ -155,11 +154,9 @@ def _serial_reference(runs, outdir):
         ctx = cli._make_context(cfg, problem)
         inits, finals, samples, bad = [], [], [0], []
         for seed in cfg.seeds:
-            try:
-                tr = cli._SOLVER_FNS[cfg.solver](build_solver_config(cfg, seed), problem, ctx)
-            except SolverDivergence as exc:
-                tr = exc.partial_trace
-                bad.append(f"seed{seed}:diverged@{exc.iteration}")
+            tr, = cli._SOLVER_FNS[cfg.solver](build_solver_config(cfg, (seed,)), problem, ctx)
+            if tr.diverged_at is not None:
+                bad.append(f"seed{seed}:diverged@{tr.diverged_at}")
             write_trace(tr, outdir / cfg.output_dir / f"{cfg.name}_seed{seed}.csv")
             init, final = window_means(tr.balanced_grad)
             inits.append(init)
@@ -176,10 +173,30 @@ def _without_wall_ms(path):
     return [line.split(",")[:2] + line.split(",")[3:] for line in path.read_text().splitlines()]
 
 
+ONE_BLOCK_CFG = """
+output_dir = one
+[run.dl]
+problem = linear
+solver = double_loop
+seeds = 4,0,3,1,2
+T = 12
+D = 3
+B = 16
+alpha = 0.06
+"""
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_pool_output_matches_serial_reference(workdir):
+def test_pool_output_matches_serial_reference(workdir, monkeypatch):
+    # two CPUs: four blocks run one job each, and one block two
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    submitted = []
+    submit = cli._submit
+    monkeypatch.setattr(cli, "_submit",
+                        lambda pool, job: submitted.append(job) or submit(pool, job))
     echoed = []
     assert cli.run_experiment(_pool_runs(), echo=echoed.append) == 0
+    assert submitted == [(0, (0, 1)), (1, (3, 0, 2)), (2, (1, 0)), (3, (0,))]
     ref = workdir / "ref"
     summaries = _serial_reference(_pool_runs(), ref)
 
@@ -199,6 +216,43 @@ def test_pool_output_matches_serial_reference(workdir):
             (("out", "t1", "01"), ("out", "m", "302"), ("lin", "lin", "10"), ("out", "blowup", "0"))
             for s in seeds]
     assert [line.split()[0] for line in echoed] == jobs + ["out/summary.csv", "lin/summary.csv"]
+
+    # five seeds of one block: two lockstep groups, 4,0,3 and 1,2, whose
+    # files equal running each seed alone; alpha = 0.06 diverges three
+    # seeds, at two different iterations, while the other two run on
+    submitted.clear()
+    echoed.clear()
+    assert cli.run_experiment(parse_config(ONE_BLOCK_CFG), echo=echoed.append) == 0
+    assert submitted == [(0, (4, 0, 3)), (0, (1, 2))]
+    summaries = _serial_reference(parse_config(ONE_BLOCK_CFG), ref)
+    assert (workdir / "one" / "summary.csv").read_text() == summaries["one"]
+    status = summaries["one"].splitlines()[1].split(",")[4]
+    assert len(set(re.findall(r"diverged@(\d+)", status))) == 2
+    assert status.count("diverged@") == 3
+    for seed in (4, 0, 3, 1, 2):
+        rel = Path("one") / f"dl_seed{seed}.csv"
+        assert _without_wall_ms(workdir / rel) == _without_wall_ms(ref / rel), rel
+    assert [line.split()[0] for line in echoed] == [
+        f"one/dl_seed{s}.csv" for s in (4, 0, 3, 1, 2)] + ["one/summary.csv"]
+
+
+def test_a_group_that_raises_marks_each_of_its_seeds(workdir, capsys, monkeypatch):
+    def broken(cfg, problem, ctx):
+        raise RuntimeError(f"planted failure in group {cfg.seeds}")
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setitem(cli._SOLVER_FNS, "mgda", broken)
+    _write(workdir / "exp.cfg", "[run.bad]\nproblem = toy\nsolver = mgda\nseeds = 0,1,2\nT = 6\n")
+    assert cli.main(["run", "exp.cfg"]) == 1
+    captured = capsys.readouterr()
+    # one traceback per group
+    assert captured.err.count("Traceback") == 2
+    assert "group (0, 1)" in captured.err and "group (2,)" in captured.err
+    for seed in (0, 1, 2):
+        assert f"bad_seed{seed}.csv  [error:RuntimeError]" in captured.out
+    row = (workdir / "runs" / "summary.csv").read_text().splitlines()[1].split(",")
+    assert row[4] == ";".join(f"seed{s}:error:RuntimeError" for s in (0, 1, 2))
+    assert not list((workdir / "runs").glob("bad_seed*.csv"))
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two concurrent workers")

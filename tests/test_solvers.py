@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drmoo import solvers
 from drmoo.dual import (
     SMOOTHNESS_M,
     DualContext,
@@ -18,6 +19,7 @@ from drmoo.dual import (
 )
 from drmoo.metrics import surrogate_stationarity
 from drmoo.problems import (
+    LOSS_BCE,
     LOSS_SQUARED,
     LinearSpec,
     MultiTaskProblem,
@@ -31,7 +33,6 @@ from drmoo.solvers import (
     BaselineConfig,
     DoubleClipConfig,
     DoubleLoopConfig,
-    SolverDivergence,
     _full_surrogate,
     _index_steps,
     inner_eta_descent,
@@ -56,20 +57,20 @@ def _ctx(problem, lam=1.0):
 
 
 def _dl_cfg(**kw):
-    base = dict(alpha=1e-4, beta=1e-4, gamma=5e-3, rho=1e-5, T=25, D=5, B=16, seed=0)
+    base = dict(alpha=1e-4, beta=1e-4, gamma=5e-3, rho=1e-5, T=25, D=5, B=16, seeds=(0,))
     base.update(kw)
     return DoubleLoopConfig(**base)
 
 
 def _dc_cfg(**kw):
     base = dict(gamma=1e-2, beta=1e-3, rho=1e-5, c1=0.5, c2=0.1, f1=0.5, f2=0.1,
-                N1=16, N2=16, T=25, seed=0)
+                N1=16, N2=16, T=25, seeds=(0,))
     base.update(kw)
     return DoubleClipConfig(**base)
 
 
 def _bl_cfg(**kw):
-    base = dict(lr=1e-4, beta=1e-4, rho=1e-5, T=25, B=16, seed=0)
+    base = dict(lr=1e-4, beta=1e-4, rho=1e-5, T=25, B=16, seeds=(0,))
     base.update(kw)
     return BaselineConfig(**base)
 
@@ -140,7 +141,7 @@ def test_solver_rejects_objective_mismatch():
 @pytest.mark.parametrize("run,make_cfg", ALL_SOLVERS)
 def test_trace_shape_and_counters(run, make_cfg):
     problem = _problem()
-    tr = run(make_cfg(), problem, _ctx(problem))
+    tr, = run(make_cfg(), problem, _ctx(problem))
     assert len(tr) == 25
     assert tr.num_objectives == 3
     assert np.array_equal(tr.iterations, np.arange(25))
@@ -154,9 +155,9 @@ def test_trace_shape_and_counters(run, make_cfg):
 def test_bit_identical_reruns(run, make_cfg):
     problem = _problem()
     ctx = _ctx(problem)
-    a = run(make_cfg(seed=5), problem, ctx)
-    b = run(make_cfg(seed=5), problem, ctx)
-    c = run(make_cfg(seed=6), problem, ctx)
+    a, = run(make_cfg(seeds=(5,)), problem, ctx)
+    b, = run(make_cfg(seeds=(5,)), problem, ctx)
+    c, = run(make_cfg(seeds=(6,)), problem, ctx)
     for field in ("samples", "losses", "balanced_grad", "surrogate_stat", "w", "eta"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     assert not np.array_equal(a.losses, c.losses)
@@ -165,7 +166,7 @@ def test_bit_identical_reruns(run, make_cfg):
 @pytest.mark.parametrize("run,make_cfg", ALL_SOLVERS)
 def test_w_stays_on_simplex(run, make_cfg):
     problem = _problem()
-    tr = run(make_cfg(), problem, _ctx(problem))
+    tr, = run(make_cfg(), problem, _ctx(problem))
     assert np.all(tr.w >= -1e-12)
     assert np.abs(tr.w.sum(axis=1) - 1.0).max() <= 1e-12
 
@@ -177,7 +178,7 @@ def test_single_objective_keeps_w_at_one(run, make_cfg):
     ctx = DualContext(
         lam=1.0, lipschitz_g=estimate_lipschitz(problem), num_objectives=1
     )
-    tr = run(make_cfg(), problem, ctx)
+    tr, = run(make_cfg(), problem, ctx)
     assert np.array_equal(tr.w, np.ones((25, 1)))
 
 
@@ -187,7 +188,7 @@ def test_single_objective_keeps_w_at_one(run, make_cfg):
 def test_sample_accounting_double_loop():
     problem = _problem()
     cfg = _dl_cfg(T=12, D=7, B=9)
-    tr = run_double_loop(cfg, problem, _ctx(problem))
+    tr, = run_double_loop(cfg, problem, _ctx(problem))
     per_iter = 3 * cfg.D + 3 * cfg.B * 3  # m*D inner singles + three B-batches
     assert np.array_equal(tr.samples, per_iter * np.arange(1, 13))
 
@@ -195,7 +196,7 @@ def test_sample_accounting_double_loop():
 def test_sample_accounting_double_clip():
     problem = _problem()
     cfg = _dc_cfg(T=12, N1=10, N2=6)
-    tr = run_double_clip(cfg, problem, _ctx(problem))
+    tr, = run_double_clip(cfg, problem, _ctx(problem))
     per_iter = (cfg.N1 + cfg.N2) * 3
     assert np.array_equal(tr.samples, per_iter * np.arange(1, 13))
 
@@ -204,8 +205,8 @@ def test_sample_accounting_baselines():
     problem = _problem()
     ctx = _ctx(problem)
     cfg = _bl_cfg(T=12, B=9)
-    single = run_stochastic_mgda(cfg, problem, ctx)
-    double = run_modo(cfg, problem, ctx)
+    single, = run_stochastic_mgda(cfg, problem, ctx)
+    double, = run_modo(cfg, problem, ctx)
     assert np.array_equal(single.samples, 27 * np.arange(1, 13))
     # double sampling costs exactly twice per iteration
     assert np.array_equal(double.samples, 2 * single.samples)
@@ -217,7 +218,7 @@ def test_sample_accounting_baselines():
 def test_clip_rule_reconstructed_from_diagnostics():
     problem = _problem()
     cfg = _dc_cfg(T=40)
-    tr = run_double_clip(cfg, problem, _ctx(problem))
+    tr, = run_double_clip(cfg, problem, _ctx(problem))
     xw = tr.diagnostics["xw_norm"]
     zw = tr.diagnostics["zw_norm"]
     want_alpha = np.where(xw == 0.0, cfg.c1, np.minimum(cfg.c1, cfg.c2 / np.maximum(xw, 1e-300)))
@@ -233,7 +234,7 @@ def test_clip_eta_steps_bounded_in_trace():
     # recorded eta is the post-update iterate; the run starts from zero)
     problem = _problem()
     cfg = _dc_cfg(T=40)
-    tr = run_double_clip(cfg, problem, _ctx(problem))
+    tr, = run_double_clip(cfg, problem, _ctx(problem))
     steps = np.diff(np.vstack([np.zeros(3), tr.eta]), axis=0)
     assert np.linalg.norm(steps, axis=1).max() <= cfg.gamma * cfg.f2 + 1e-12
 
@@ -244,7 +245,7 @@ def test_zero_gradient_problem_freezes_double_clip():
     problem = MultiTaskProblem(np.zeros((8, 2)), np.zeros((2, 8)), LOSS_SQUARED)
     ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=2)
     cfg = _dc_cfg(T=10)
-    tr = run_double_clip(cfg, problem, ctx)
+    tr, = run_double_clip(cfg, problem, ctx)
     assert np.all(tr.diagnostics["alpha_t"] == cfg.c1)
     assert np.all(tr.diagnostics["mu_t"] == cfg.f1)
     assert np.array_equal(tr.eta, np.zeros((10, 2)))
@@ -264,10 +265,11 @@ def test_constant_losses_freeze_theta_and_pull_eta():
     recorder = _ThetaRecorder(problem)
     ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=2)
     cfg = _dl_cfg(T=80, D=10, gamma=0.1)
-    tr = run_double_loop(cfg, recorder, ctx)
-    # one stacked sample for the inner loop and one per Y, Ybar, Ytilde batch
-    assert len(recorder.thetas) == 4 * cfg.T
-    assert all(np.array_equal(t, np.zeros(2)) for t in recorder.thetas)
+    tr, = run_double_loop(cfg, recorder, ctx)
+    # one stacked sample for the inner loop and one for the Y, Ybar and
+    # Ytilde batches together
+    assert len(recorder.thetas) == 2 * cfg.T
+    assert all(np.array_equal(t, np.zeros((1, 2))) for t in recorder.thetas)
     assert np.array_equal(tr.w, np.full((80, 2), 0.5))
     # recorded eta is a point on the inner trajectory; late rows sit at c
     assert np.abs(tr.eta[-5:] - c).max() <= 1e-6
@@ -351,7 +353,7 @@ def test_full_surrogate_matches_reference(theta, eta, w):
         cols.append(grad_theta(ctx, grads, losses, eta[i]))
         egr.append(grad_eta(ctx, losses, eta[i]))
     ref = surrogate_stationarity(ObjectiveJacobian(np.column_stack(cols), np.array(egr)), w, 3.0)
-    got = _full_surrogate(problem, ctx, theta, eta, w)
+    got, = _full_surrogate(problem, ctx, theta[None], eta[None], w[None])
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12 * abs(ref))
 
 
@@ -364,7 +366,32 @@ def _huge_label_problem():
     return MultiTaskProblem(problem.features, np.full_like(problem.labels, 1e200), LOSS_SQUARED)
 
 
+def _one_huge_label_problem():
+    # one overflowing row: a seed diverges at the first step whose draws hit it
+    problem = _problem()
+    labels = problem.labels.copy()
+    labels[0, 7] = 1e200
+    return MultiTaskProblem(problem.features, labels, LOSS_SQUARED)
+
+
 CLIP_DIAGNOSTICS = {"alpha_t", "mu_t", "theta_step", "eta_step", "xw_norm", "zw_norm"}
+SIX_SEEDS = (0, 1, 2, 3, 4, 5)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_same_trace(got, want):
+    """Every field but wall_ms equal bit for bit (nan payloads and signed
+    zeros included)."""
+    assert got.diverged_at == want.diverged_at
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for name, values in want.diagnostics.items():
+        assert _same_bits(got.diagnostics[name], values), name
+    for f in dataclasses.fields(got):
+        if f.name not in ("wall_ms", "diagnostics", "diverged_at"):
+            assert _same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -375,43 +402,119 @@ CLIP_DIAGNOSTICS = {"alpha_t", "mu_t", "theta_step", "eta_step", "xw_norm", "zw_
         (run_double_clip, _dc_cfg(T=50), _huge_label_problem),
         (run_stochastic_mgda, _bl_cfg(lr=1e6, T=50), _problem),
         (run_modo, _bl_cfg(lr=1e6, T=50), _problem),
+        (run_double_loop, _dl_cfg(D=1, B=1, seeds=SIX_SEEDS), _one_huge_label_problem),
+        (run_double_clip, _dc_cfg(N1=1, N2=1, seeds=SIX_SEEDS), _one_huge_label_problem),
+        (run_stochastic_mgda, _bl_cfg(B=3, seeds=SIX_SEEDS), _one_huge_label_problem),
+        (run_modo, _bl_cfg(B=1, seeds=SIX_SEEDS), _one_huge_label_problem),
     ],
-    ids=["double_loop", "double_clip", "mgda", "modo"],
+    ids=["double_loop", "double_clip", "mgda", "modo",
+         "double_loop-seeds", "double_clip-seeds", "mgda-seeds", "modo-seeds"],
 )
 def test_divergence_carries_partial_trace(run, cfg, make_problem):
     # overflow warnings during the blow-up are the divergence mechanism itself
-    with pytest.raises(SolverDivergence, match="divergence at iteration") as ei:
-        run(cfg, make_problem(), _ctx(_problem()))
-    exc = ei.value
-    assert 0 <= exc.iteration < 50
-    partial = exc.partial_trace
-    assert len(partial) == exc.iteration + 1
-    assert np.all(np.diff(partial.samples) > 0)
-    assert set(partial.diagnostics) == (CLIP_DIAGNOSTICS if run is run_double_clip else set())
-    for values in partial.diagnostics.values():
-        assert len(values) == exc.iteration + 1
+    problem, ctx = make_problem(), _ctx(_problem())
+    traces = run(cfg, problem, ctx)
+    assert len(traces) == len(cfg.seeds)
+    for seed, partial in zip(cfg.seeds, traces):
+        # in lockstep each seed keeps the trace of its solo run
+        solo, = run(dataclasses.replace(cfg, seeds=(seed,)), problem, ctx)
+        _assert_same_trace(partial, solo)
+        if partial.diverged_at is None:
+            assert len(partial) == cfg.T
+            continue
+        assert 0 <= partial.diverged_at < cfg.T
+        assert len(partial) == partial.diverged_at + 1
+        assert np.all(np.diff(partial.samples) > 0)
+        assert set(partial.diagnostics) == (CLIP_DIAGNOSTICS if run is run_double_clip else set())
+        for values in partial.diagnostics.values():
+            assert len(values) == partial.diverged_at + 1
+    stops = [tr.diverged_at for tr in traces]
+    if len(traces) == 1:
+        assert stops[0] is not None
+    else:
+        # seeds diverge at different iterations while another runs to T
+        assert len(set(stops) - {None}) >= 2 and None in stops
+
+
+# --- seed lockstep -----------------------------------------------------------
+
+
+def _logistic(m):
+    problem = _problem()
+    labels = (problem.labels[:m] > np.median(problem.labels[:m], axis=1, keepdims=True))
+    return MultiTaskProblem(problem.features, labels.astype(float), LOSS_BCE)
+
+
+LOCKSTEP_PROBLEMS = {
+    "squared-m3": _problem,
+    "squared-m1": lambda: MultiTaskProblem(
+        _problem().features, _problem().labels[:1], LOSS_SQUARED),
+    "logistic-m3": lambda: _logistic(3),
+    "logistic-m1": lambda: _logistic(1),
+}
+
+
+@pytest.mark.parametrize("kind", LOCKSTEP_PROBLEMS)
+@pytest.mark.parametrize("run,make_cfg", ALL_SOLVERS)
+def test_lockstep_seeds_equal_solo_runs(run, make_cfg, kind):
+    problem = LOCKSTEP_PROBLEMS[kind]()
+    ctx = _ctx(problem)
+    solo = [run(make_cfg(seeds=(seed,)), problem, ctx)[0] for seed in (3, 0, 2)]
+    for groups in (((3, 0, 2),), ((3,), (0, 2))):
+        got = [tr for group in groups for tr in run(make_cfg(seeds=group), problem, ctx)]
+        assert len(got) == 3
+        for tr, want in zip(got, solo):
+            assert tr.diverged_at is None
+            _assert_same_trace(tr, want)
+
+
+@pytest.mark.parametrize("run,make_cfg", ALL_SOLVERS)
+def test_one_oracle_call_per_step_for_all_seeds(run, make_cfg, monkeypatch):
+    shapes = []
+
+    def counted(ctx, losses, slopes, rows, etas):
+        shapes.append(etas.shape)
+        return oracle(ctx, losses, slopes, rows, etas)
+
+    oracle = solvers.batch_oracle
+    monkeypatch.setattr(solvers, "batch_oracle", counted)
+    problem = _problem()
+    cfg = make_cfg(seeds=(4, 1, 7))
+    assert len(run(cfg, problem, _ctx(problem))) == 3
+    # one per step, plus the surrogate's one every SURROGATE_EVERY steps
+    assert len(shapes) == cfg.T + math.ceil(cfg.T / solvers.SURROGATE_EVERY)
+    assert all(shape[0] == 3 for shape in shapes)
 
 
 # --- rng streams -------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "role, high, size",
-    [(ROLE_Y, n, s) for n in (200, 4898, 6000) for s in (1, 3, 20, 255, 256)]
-    + [(ROLE_INDEX, 20, 3)],  # the double loop's trajectory-index triple
+    "role, high, size, budget",
+    [pytest.param(ROLE_Y, n, s, None, id=f"{ROLE_Y}-{n}-{s}")
+     for n in (200, 4898, 6000) for s in (1, 3, 20, 255, 256)]
+    # the double loop's trajectory-index triple
+    + [pytest.param(ROLE_INDEX, 20, 3, None, id=f"{ROLE_INDEX}-20-3")]
+    # an element budget under one step's block cuts the chunk to one step
+    + [pytest.param(ROLE_Y, 6000, 20, 1, id="budget-1")],
 )
-def test_block_draws_equal_per_step_draws(role, high, size):
+def test_block_draws_equal_per_step_draws(role, high, size, budget, monkeypatch):
     # numpy does not promise that integers(0, N, size=(c, s)) gives the values
     # of c successive integers(0, N, size=s) calls; every trace relies on it.
     # 2 full chunks and a short one, so reads cross chunk boundaries.
+    if budget is not None:
+        monkeypatch.setattr(solvers, "DRAW_ELEMENTS", budget)
     steps = 2 * DRAW_CHUNK + 7
     block = make_stream(3, role, 1).integers(0, high, size=(steps, size))
-    got = np.array(list(_index_steps(3, role, 2, high, size, steps)))
-    streams = [make_stream(3, role, i) for i in range(2)]
+    # two seeds and two roles of two objectives: row r*m + i of seed s is
+    # stream (seeds[s], roles[r], i)
+    seeds, roles = (3, 8), (role, role + 1)
+    got = np.array(list(_index_steps(seeds, roles, 2, high, size, steps)))
+    streams = [make_stream(s, r, i) for s in seeds for r in roles for i in range(2)]
     per_step = np.array([
         [rng.integers(0, high, size=size) for rng in streams] for _ in range(steps)
-    ])
-    assert np.array_equal(block, per_step[:, 1])
+    ]).reshape(steps, 2, 4, size)
+    assert np.array_equal(block, per_step[:, 0, 1])
     assert np.array_equal(got, per_step)
 
 

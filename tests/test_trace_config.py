@@ -19,7 +19,7 @@ from drmoo.solvers import (
     DoubleLoopConfig,
     RunTrace,
 )
-from drmoo.trace import atomic_open, read_trace, trace_header, write_trace
+from drmoo.trace import _fmt, atomic_open, read_trace, trace_header, write_trace
 
 
 # --- trace CSV ---------------------------------------------------------------
@@ -68,6 +68,34 @@ def test_write_read_round_trip_is_exact(tmp_path):
         assert np.array_equal(cols[f"eta_{j + 1}"], tr.eta[:, j])
     assert np.array_equal(cols["balanced_grad"], tr.balanced_grad)
     assert np.array_equal(cols["surrogate_stat"], tr.surrogate_stat)
+
+
+REALS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1 / 3]
+)
+
+
+@given(rows=st.integers(1, 4), m=st.integers(1, 4), data=st.data())
+def test_trace_rows_read_as_fmt_of_each_value(tmp_path_factory, rows, m, data):
+    # write_trace formats a whole row at once; each field must be the text
+    # _fmt gives that value, signed zeros, subnormals, inf and nan included
+    def reals(*shape):
+        n = int(np.prod(shape))
+        return np.array(data.draw(st.lists(REALS, min_size=n, max_size=n))).reshape(shape)
+
+    tr = RunTrace(
+        iterations=np.arange(rows),
+        samples=np.array(data.draw(st.lists(st.integers(0, 2**62), min_size=rows, max_size=rows))),
+        wall_ms=reals(rows), losses=reals(rows, m), balanced_grad=reals(rows),
+        surrogate_stat=reals(rows), w=reals(rows, m), eta=reals(rows, m), diagnostics={},
+    )
+    lines = write_trace(tr, tmp_path_factory.mktemp("rows") / "t.csv").read_text().split("\n")
+    assert lines[0] == ",".join(trace_header(m)) and lines[-1] == ""
+    for t, line in enumerate(lines[1:-1]):
+        values = [tr.wall_ms[t], *tr.losses[t], tr.balanced_grad[t], tr.surrogate_stat[t],
+                  *tr.w[t], *tr.eta[t]]
+        assert line == ",".join([str(t), str(int(tr.samples[t])), *map(_fmt, values)])
+    assert len(lines) == rows + 2
 
 
 def test_write_twice_same_bytes(tmp_path):
@@ -253,13 +281,13 @@ def test_build_solver_config_maps_every_solver():
     problem = linear
     solver = modo
     """
-    dl, dc, g, m = (build_solver_config(c, seed=9) for c in parse_config(text))
+    dl, dc, g, m = (build_solver_config(c, seeds=[9, 2]) for c in parse_config(text))
     assert isinstance(dl, DoubleLoopConfig)
-    assert (dl.T, dl.D, dl.B, dl.seed) == (600, 20, 256, 9)
+    assert (dl.T, dl.D, dl.B, dl.seeds) == (600, 20, 256, (9, 2))
     assert (dl.alpha, dl.beta, dl.gamma, dl.rho) == (5e-5, 5e-5, 5e-3, 1e-5)
     assert isinstance(dc, DoubleClipConfig)
     assert (dc.c1, dc.c2, dc.f1, dc.f2) == (0.5, 0.1, 0.5, 0.1)
-    assert (dc.N1, dc.N2, dc.seed) == (256, 256, 9)
+    assert (dc.N1, dc.N2, dc.seeds) == (256, 256, (9, 2))
     assert isinstance(g, BaselineConfig) and g.rho == 0.0
     assert isinstance(m, BaselineConfig) and m.rho == 1e-5
     assert g.lr == m.lr == 1e-5
