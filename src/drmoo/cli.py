@@ -47,7 +47,7 @@ from .problems import (
     resolve_wine_path,
     toy_problem,
 )
-from .solvers import SOLVERS
+from .solvers import SOLVERS, samples_per_step
 from .svg import emit_svg_plot, emit_svg_scatter
 from .trace import _fmt, atomic_open, write_trace
 
@@ -83,11 +83,6 @@ def _build_problem(cfg):
     return toy_problem(
         ToySpec(perturbation_std=cfg.toy_std), num_draws=cfg.toy_draws, seed=cfg.data_seed
     )
-
-
-def _make_context(cfg, problem) -> DualContext:
-    g = estimate_lipschitz(problem) if cfg.g == "auto" else float(cfg.g)
-    return DualContext(lam=cfg.lam, lipschitz_g=g, num_objectives=problem.num_objectives)
 
 
 # (cfg, problem, ctx) per run block; each worker receives the parent's
@@ -159,18 +154,22 @@ def _submit(pool, job) -> Future:
 def run_experiment(runs, echo=print) -> int:
     """Execute parsed run blocks and write their artifacts.
 
-    A job is one group of a block's seeds, which its solver runs in
-    lockstep: each block's seeds are cut into ceil(CPUs / blocks) contiguous
-    groups, so a config of fewer blocks than CPUs still keeps every CPU busy.
-    The jobs run in a pool of forked worker processes, one per CPU this
-    process may use (at most one per job). A job writes one trace CSV per
-    seed under the block's output_dir, whose wall_ms is its group's clock;
-    then one summary.csv per output_dir aggregates the
-    first/last-20-iteration balanced-gradient windows across seeds. Results
-    are read, echoed and summarized in config order, and every trace is the
-    same as from running each seed alone. Solver divergence is recorded per
-    seed in the summary status column (its partial trace still gets written)
-    and does not fail the invocation. Any other exception in a job goes to
+    Blocks that agree on every field _build_problem reads share one problem
+    and its g = auto estimate, each built once. A job is one group of a
+    block's seeds, which its solver runs in lockstep: each block's seeds are
+    cut into ceil(CPUs / blocks) contiguous groups, so a config of fewer
+    blocks than CPUs still keeps every CPU busy. The jobs run in a pool of
+    forked worker processes, one per CPU this process may use (at most one
+    per job), submitted in decreasing order of the samples they consume
+    (ties in config order), so no long job is left to start last. A job
+    writes one trace CSV per seed under the block's output_dir, whose
+    wall_ms is its group's clock; then one summary.csv per output_dir
+    aggregates the first/last-20-iteration balanced-gradient windows across
+    seeds. Results are read, echoed and summarized in config order, whatever
+    the start order, and every trace is the same as from running each seed
+    alone. Solver divergence is recorded per seed in the summary status
+    column (its partial trace still gets written) and does not fail the
+    invocation. Any other exception in a job goes to
     stderr with its traceback and is recorded as error:<type> for each seed
     of its group, and the other jobs still run; so is a failed trace write
     (one line on stderr). A worker that dies records each seed of its job,
@@ -183,13 +182,28 @@ def run_experiment(runs, echo=print) -> int:
     the module state of the caller (a monkeypatched solver table, say); the
     caller should not hold other threads at that point.
     """
-    problems = [_build_problem(cfg) for cfg in runs]  # all built before any job runs
-    blocks = [(cfg, p, _make_context(cfg, p)) for cfg, p in zip(runs, problems)]
+    # every problem is built before any job runs
+    problems, estimates, blocks = {}, {}, []
+    for cfg in runs:
+        key = (cfg.problem, cfg.data_seed, cfg.wine_path, cfg.toy_std, cfg.toy_draws)
+        if key not in problems:
+            problems[key] = _build_problem(cfg)
+        problem = problems[key]
+        if cfg.g == "auto" and key not in estimates:
+            estimates[key] = estimate_lipschitz(problem)
+        g = estimates[key] if cfg.g == "auto" else float(cfg.g)
+        blocks.append((cfg, problem, DualContext(cfg.lam, g, problem.num_objectives)))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cpus = cpus or 1
     groups = -(-cpus // len(blocks))
     jobs = [(b, tuple(map(int, group))) for b, (cfg, _, _) in enumerate(blocks)
             for group in np.array_split(cfg.seeds, min(groups, len(cfg.seeds)))]
+    sizes = []  # the samples each job consumes
+    for b, group in jobs:
+        cfg, problem, _ = blocks[b]
+        solver_cfg = build_solver_config(cfg, group)
+        per_step = samples_per_step(cfg.solver, solver_cfg, problem.num_objectives)
+        sizes.append(len(group) * solver_cfg.T * per_step)
     pool = ProcessPoolExecutor(
         max_workers=min(cpus, len(jobs)),
         mp_context=multiprocessing.get_context("fork"),
@@ -197,10 +211,13 @@ def run_experiment(runs, echo=print) -> int:
         initargs=(blocks,),
     )
     try:
+        # largest first (a stable sort), so no long job is left to start last
+        order = sorted(range(len(jobs)), key=lambda j: -sizes[j])
+        futures = {j: _submit(pool, jobs[j]) for j in order}
         results = []
-        for fut, (_, group) in zip([_submit(pool, job) for job in jobs], jobs):
+        for j, (_, group) in enumerate(jobs):
             try:
-                results += fut.result()
+                results += futures[j].result()
             except Exception as exc:  # a trace write failed or its worker died
                 # one line: a broken pool raises one exception object for every
                 # pending job, and its traceback grows with each raise

@@ -15,8 +15,8 @@ its own RNG streams, so a job's draws do not depend on which process runs it
 or on what runs beside it. Instances are immutable after construction, which
 lets `drmoo run` share them with its forked workers instead of pickling them.
 
-The logistic loss uses this module's own overflow-free sigmoid; numpy is the
-only dependency.
+The logistic loss and its slope come from one exp per sample (see logistic);
+numpy is the only dependency.
 """
 
 import csv
@@ -54,11 +54,11 @@ WINE_COLUMNS = (
 WINE_THRESHOLDS = {"quality": 0.5, "residual sugar": 0.8, "alcohol": 0.1}
 
 
-def sigmoid(z):
-    """Elementwise logistic function 1/(1+e^-z), without overflow: exp only
-    ever sees -|z|."""
+def logistic(z):
+    """Elementwise (log(1 + e^z), 1/(1 + e^-z)): the softplus and the sigmoid,
+    from one exp that only ever sees -|z|, so neither overflows."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(z, 0.0) + np.log1p(e), np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 class MultiTaskProblem:
@@ -120,8 +120,9 @@ class MultiTaskProblem:
             grads = (2.0 * r)[:, None] * x
         else:
             # logistic loss with logits z: log(1 + e^z) - y*z
-            losses = np.logaddexp(0.0, z) - y * z
-            grads = (sigmoid(z) - y)[:, None] * x
+            softplus, sigmoid = logistic(z)
+            losses = softplus - y * z
+            grads = (sigmoid - y)[:, None] * x
         if off is not None:
             losses = losses + off
         return losses, grads
@@ -141,7 +142,7 @@ class MultiTaskProblem:
         """
         x, y, off = self.features, self.labels, self.offsets
         if idx is not None:
-            flat = idx + np.tile(self._row0, (idx.shape[-2] // y.shape[0], 1))
+            flat = (idx.reshape(-1, len(y), idx.shape[-1]) + self._row0).reshape(idx.shape)
             x, y = x.take(idx, axis=0), y.take(flat)
             off = None if off is None else off.take(flat)
         z = (x @ theta[..., None, :, None])[..., 0]
@@ -149,7 +150,8 @@ class MultiTaskProblem:
             r = z - y
             losses, slopes = r * r, 2.0 * r
         else:
-            losses, slopes = np.logaddexp(0.0, z) - y * z, sigmoid(z) - y
+            softplus, sigmoid = logistic(z)
+            losses, slopes = softplus - y * z, sigmoid - y
         if off is not None:
             losses = losses + off
         return losses, slopes, x

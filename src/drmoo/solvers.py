@@ -15,7 +15,8 @@ Four iterations over a MultiTaskProblem, all emitting a RunTrace:
     independent batches so the gram estimator is unbiased.
 
 All four share one outer loop, _mgda_loop, which owns the start state, the
-trace, the surrogate cadence, the sample count, the preference step
+trace, the surrogate cadence, the sample count (samples_per_step, which
+`drmoo run` also reads to start its longest jobs first), the preference step
 w <- project(w - beta (G w + rho w)) and the divergence check; each solver
 supplies its index streams and a per-step estimator of the parameter
 direction, the dual update and the gram product G w. A run steps the seeds
@@ -195,6 +196,16 @@ class BaselineConfig:
             raise ValueError("T and B must be >= 1")
 
 
+def samples_per_step(solver, cfg, m) -> int:
+    """Gradient-oracle samples one step of solver consumes per seed at its
+    config cfg on m objectives; the samples column counts these."""
+    if solver == "double_loop":
+        return m * (cfg.D + 3 * cfg.B)
+    if solver == "double_clip":
+        return m * (cfg.N2 + cfg.N1)
+    return (2 if solver == "modo" else 1) * m * cfg.B
+
+
 def _index_steps(seeds, roles, m, high, size, steps):
     """The (S, k*m, size) index blocks of `steps` steps for S seeds and k
     roles: row r*m + i of seed s is drawn uniformly from {0..high-1} by
@@ -270,6 +281,7 @@ def _mgda_loop(cfg, problem, ctx: DualContext, per_step, step, diagnostics) -> l
     log = {name: np.zeros((n_seeds, steps, m)) for name in ("losses", "w", "eta")}
     log.update(balanced_grad=np.zeros((n_seeds, steps)), surrogate_stat=np.zeros((n_seeds, steps)))
     live = np.ones(n_seeds, dtype=bool)
+    stepping = range(n_seeds)  # the live seeds
     diverged_at = [None] * n_seeds
     t0 = time.perf_counter()
     for t in range(steps):
@@ -288,15 +300,18 @@ def _mgda_loop(cfg, problem, ctx: DualContext, per_step, step, diagnostics) -> l
         theta_next = theta - lr * direction
         w_pre = w - cfg.beta * (gram_w + cfg.rho * w)
         finite = np.isfinite(np.concatenate((theta_next, eta_next, w_pre), axis=1)).all(axis=1)
-        for s in np.flatnonzero(live & ~finite):
-            diverged_at[s] = t
-        live &= finite
-        theta = np.where(live[:, None], theta_next, theta)
-        eta = np.where(live[:, None], eta_next, eta)
-        for s in np.flatnonzero(live):
+        if not (finite & live).all():  # a seed diverged now or before
+            for s in np.flatnonzero(live & ~finite):
+                diverged_at[s] = t
+            live &= finite
+            if not live.any():
+                break
+            theta_next = np.where(live[:, None], theta_next, theta)
+            eta_next = np.where(live[:, None], eta_next, eta)
+            stepping = np.flatnonzero(live)
+        theta, eta = theta_next, eta_next
+        for s in stepping:
             w[s] = project_simplex(w_pre[s])
-        if not live.any():
-            break
 
     traces = []
     for s, stop in enumerate(diverged_at):
@@ -353,7 +368,7 @@ def run_double_loop(cfg: DoubleLoopConfig, problem, ctx: DualContext) -> list:
         eta_y = etas[:, :m]
         return values[:, :m], _matvec(y_mat, w), cfg.alpha, eta_y, eta_y, eta_next, gram_w
 
-    return _mgda_loop(cfg, problem, ctx, m * cfg.D + 3 * cfg.B * m, step, {})
+    return _mgda_loop(cfg, problem, ctx, samples_per_step("double_loop", cfg, m), step, {})
 
 
 def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> list:
@@ -408,12 +423,12 @@ def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> list:
                   + mu[:, None] * (z_vec * z_vec * w))
         return loss_log, xw, (cfg.gamma * alpha)[:, None], eta_next, eta_eff, eta_next, gram_w
 
-    return _mgda_loop(cfg, problem, ctx, m * (cfg.N2 + cfg.N1), step, diag)
+    return _mgda_loop(cfg, problem, ctx, samples_per_step("double_clip", cfg, m), step, diag)
 
 
-def _run_joint_baseline(cfg: BaselineConfig, problem, ctx, double_sampling: bool) -> list:
+def _run_joint_baseline(cfg: BaselineConfig, problem, ctx, solver) -> list:
     m = problem.num_objectives
-    roles = (ROLE_JOINT_A, ROLE_JOINT_B) if double_sampling else (ROLE_JOINT_A,)
+    roles = (ROLE_JOINT_A, ROLE_JOINT_B) if solver == "modo" else (ROLE_JOINT_A,)
     batches = _index_steps(cfg.seeds, roles, m, problem.num_samples, cfg.B, cfg.T)
 
     def step(t, theta, eta, w):
@@ -426,20 +441,20 @@ def _run_joint_baseline(cfg: BaselineConfig, problem, ctx, double_sampling: bool
         gram_w = _matvec(ja.swapaxes(-1, -2) @ jb, w) + (ga * gb) * w
         return values[:, :m], _matvec(ja, w), cfg.lr, eta, eta, eta - cfg.lr * (ga * w), gram_w
 
-    return _mgda_loop(cfg, problem, ctx, len(roles) * m * cfg.B, step, {})
+    return _mgda_loop(cfg, problem, ctx, samples_per_step(solver, cfg, m), step, {})
 
 
 def run_stochastic_mgda(cfg: BaselineConfig, problem, ctx: DualContext) -> list:
     """Joint-SGD baseline; one shared batch feeds both the parameter step
     and the preference gram estimator (the latter is biased by design)."""
-    return _run_joint_baseline(cfg, problem, ctx, double_sampling=False)
+    return _run_joint_baseline(cfg, problem, ctx, "mgda")
 
 
 def run_modo(cfg: BaselineConfig, problem, ctx: DualContext) -> list:
     """Double-sampling baseline: like run_stochastic_mgda, but the
     preference gram uses a second, independent batch (unbiased product);
     consumes twice the samples per iteration."""
-    return _run_joint_baseline(cfg, problem, ctx, double_sampling=True)
+    return _run_joint_baseline(cfg, problem, ctx, "modo")
 
 
 # solver name -> (run function, config with the defaults of a config block);

@@ -12,8 +12,9 @@ import pytest
 from drmoo import cli
 from drmoo.checks import CheckResult
 from drmoo.config import build_solver_config, parse_config
+from drmoo.dual import DualContext
 from drmoo.metrics import window_means
-from drmoo.problems import WINE_ENV
+from drmoo.problems import WINE_ENV, estimate_lipschitz, synthesize_wine_csv
 from drmoo.svg import HEIGHT, WIDTH, emit_svg_plot, emit_svg_scatter
 from drmoo.trace import atomic_open, read_trace, write_trace
 
@@ -151,7 +152,7 @@ def _serial_reference(runs, outdir):
     summaries = {}
     for cfg in runs:
         problem = cli._build_problem(cfg)
-        ctx = cli._make_context(cfg, problem)
+        ctx = DualContext(cfg.lam, estimate_lipschitz(problem), problem.num_objectives)
         inits, finals, samples, bad = [], [], [0], []
         for seed in cfg.seeds:
             tr, = cli._SOLVER_FNS[cfg.solver](build_solver_config(cfg, (seed,)), problem, ctx)
@@ -188,7 +189,9 @@ alpha = 0.06
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_pool_output_matches_serial_reference(workdir, monkeypatch):
-    # two CPUs: four blocks run one job each, and one block two
+    # two CPUs: four blocks run one job each, submitted by the samples they
+    # consume (seeds x T x samples per step): lin 2*12*153, blowup 60*32,
+    # m 3*25*8, t1 2*6*32
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
     submitted = []
     submit = cli._submit
@@ -196,7 +199,7 @@ def test_pool_output_matches_serial_reference(workdir, monkeypatch):
                         lambda pool, job: submitted.append(job) or submit(pool, job))
     echoed = []
     assert cli.run_experiment(_pool_runs(), echo=echoed.append) == 0
-    assert submitted == [(0, (0, 1)), (1, (3, 0, 2)), (2, (1, 0)), (3, (0,))]
+    assert submitted == [(2, (1, 0)), (3, (0,)), (1, (3, 0, 2)), (0, (0, 1))]
     ref = workdir / "ref"
     summaries = _serial_reference(_pool_runs(), ref)
 
@@ -234,6 +237,58 @@ def test_pool_output_matches_serial_reference(workdir, monkeypatch):
         assert _without_wall_ms(workdir / rel) == _without_wall_ms(ref / rel), rel
     assert [line.split()[0] for line in echoed] == [
         f"one/dl_seed{s}.csv" for s in (4, 0, 3, 1, 2)] + ["one/summary.csv"]
+
+
+def test_each_distinct_problem_is_built_once(workdir, monkeypatch):
+    built, estimated = [], []
+
+    def counted(fn, log):
+        return lambda arg: log.append(arg) or fn(arg)
+
+    monkeypatch.setattr(cli, "gen_linear", counted(cli.gen_linear, built))
+    monkeypatch.setattr(cli, "load_wine_tasks", counted(cli.load_wine_tasks, built))
+    monkeypatch.setattr(cli, "estimate_lipschitz", counted(cli.estimate_lipschitz, estimated))
+    synthesize_wine_csv(workdir / "w.csv", rows=60)
+    block = "[run.{}]\nproblem = {}\nsolver = mgda\nT = 3\nB = 4\n"
+    text = "output_dir = out\nwine_path = w.csv\n" + "".join([
+        block.format("lin_a", "linear"),
+        block.format("lin_b", "linear") + "lambda = 2.0\n",
+        block.format("lin_seed1", "linear") + "data_seed = 1\n",
+        block.format("wine_a", "wine"),
+        block.format("wine_b", "wine") + "g = 3.0\n",
+        block.format("wine_c", "wine"),
+    ])
+    assert cli.run_experiment(parse_config(text), echo=lambda line: None) == 0
+    # two linear data seeds and one wine file, in config order; one g = auto
+    # estimate per problem, whatever lambda its blocks use
+    assert [getattr(a, "seed", a) for a in built] == [0, 1, Path("w.csv")]
+    assert len({id(p) for p in estimated}) == len(estimated) == 3
+    summary = (workdir / "out" / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in summary] == ["ok"] * 6
+
+
+def test_jobs_start_longest_first_and_report_in_config_order(workdir, monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    submitted = []
+    submit = cli._submit
+    monkeypatch.setattr(cli, "_submit",
+                        lambda pool, job: submitted.append(job) or submit(pool, job))
+    # samples per job on the toy pair (m = 2): mgda 2*B per step, modo 4*B
+    block = "[run.{}]\nproblem = toy\nsolver = {}\ntoy_draws = 20\nT = {}\nB = 4\n"
+    text = "output_dir = out\n" + "".join([
+        block.format("short", "mgda", 5),  # 40
+        block.format("tie_a", "mgda", 10),  # 80
+        block.format("long", "modo", 10),  # 160
+        block.format("tie_b", "modo", 5),  # 80
+    ])
+    echoed = []
+    assert cli.run_experiment(parse_config(text), echo=echoed.append) == 0
+    # ties keep config order
+    assert submitted == [(2, (0,)), (1, (0,)), (3, (0,)), (0, (0,))]
+    assert echoed == [f"out/{name}_seed0.csv  [ok]" for name in ("short", "tie_a", "long", "tie_b")
+                      ] + ["out/summary.csv  [4 run(s)]"]
+    rows = (workdir / "out" / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["short", "tie_a", "long", "tie_b"]
 
 
 def test_a_group_that_raises_marks_each_of_its_seeds(workdir, capsys, monkeypatch):
@@ -314,7 +369,8 @@ def test_run_records_jobs_queued_after_a_worker_died(workdir, capsys, monkeypatc
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", OneJobAtATime)
     monkeypatch.setitem(cli._SOLVER_FNS, "mgda", lambda *a: os._exit(3))
-    dies = "\n[run.dies]\nproblem = toy\nsolver = mgda\ntoy_draws = 40\nT = 6\nB = 8\n"
+    # T = 100 makes the dying job the costliest, so it is submitted first
+    dies = "\n[run.dies]\nproblem = toy\nsolver = mgda\ntoy_draws = 40\nT = 100\nB = 8\n"
     cfg = TOY_CFG.replace("\n[run.t1]", dies + "[run.t1]") + "seeds = 0,1,2\n"
     cfg = cfg.replace("seeds = 0,1\n", "")
     _write(workdir / "exp.cfg", cfg)

@@ -22,8 +22,8 @@ from drmoo.problems import (
     perturb_toy,
     perturbation_ensemble,
     quantile_threshold,
+    logistic,
     resolve_wine_path,
-    sigmoid,
     synthesize_wine_csv,
     toy_objectives,
     toy_problem,
@@ -75,12 +75,23 @@ def _sigmoid_reference(z: float) -> float:
     return math.exp(z)  # e^z / (1 + e^z) equals e^z to far below one ulp here
 
 
+def _softplus_reference(z: float) -> float:
+    # log(1 + e^z), written as z + log(1 + e^-z) above 0 so exp cannot overflow
+    if z > 0.0:
+        return z + math.log1p(math.exp(-z))
+    return math.log1p(math.exp(z))
+
+
+def _logistic_quietly(z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return logistic(z)
+
+
 @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
 def test_sigmoid_matches_python_float_reference(zs):
     z = np.array(zs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = sigmoid(z)
+    _, got = _logistic_quietly(z)
     ref = np.array([_sigmoid_reference(v) for v in zs])
     assert got.shape == z.shape
     assert np.all((got >= 0.0) & (got <= 1.0))
@@ -88,11 +99,36 @@ def test_sigmoid_matches_python_float_reference(zs):
     np.testing.assert_allclose(got, ref, rtol=4 * np.finfo(float).eps, atol=1e-300)
 
 
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
+def test_softplus_matches_python_float_reference(zs):
+    z = np.array(zs)
+    got, _ = _logistic_quietly(z)
+    ref = np.array([_softplus_reference(v) for v in zs])
+    assert got.shape == z.shape
+    assert np.all(got >= 0.0)
+    np.testing.assert_allclose(got, ref, rtol=4 * np.finfo(float).eps, atol=1e-300)
+
+
+# the last sits 3 ulp from logaddexp: for z just above ln 2^-6, e^z is in the
+# binade above its log1p, so one ulp of exp is two of the softplus
+_EDGES = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, -4.158679640877374]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGES),
+                min_size=1, max_size=40))
+def test_softplus_within_three_ulp_of_logaddexp(zs):
+    z = np.array(zs + _EDGES)
+    got, _ = _logistic_quietly(z)
+    ref = np.logaddexp(0.0, z)
+    assert np.all(got >= 0.0) and np.all(ref >= 0.0)
+    # nonnegative doubles order like their bit patterns: ulps apart = ints apart
+    ulps = np.abs(got.view(np.int64) - ref.view(np.int64))
+    assert np.all(ulps <= 3), z[ulps > 3]
+
+
 def test_sigmoid_extremes_raise_no_warning():
     z = np.array([-1e3, -745.2, -709.8, -1.0, -0.0, 0.0, 1.0, 36.8, 709.8, 1e3])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = sigmoid(z)
+    _, got = _logistic_quietly(z)
     assert got[0] == 0.0 and got[-1] == 1.0
     assert got[4] == got[5] == 0.5
     assert np.all(np.diff(got) >= 0.0)
@@ -163,6 +199,23 @@ def test_sample_batch_with_replacement_and_full_batch(small_linear):
         assert np.array_equal(rows[i], small_linear.features[idx[i]])
         assert np.array_equal(losses[i], ref_losses)
         assert np.array_equal(slopes[i][:, None] * rows[i], ref_grads)
+
+
+def test_stacked_sample_batch_matches_per_sample(small_logistic):
+    # S = 2 seeds, each with k = 3 roles of m = 2 objectives: row r*m + i of
+    # seed s is objective i's batch, offset into its own labels
+    p, g = small_logistic, rng(6)
+    m, n = p.num_objectives, p.dimension
+    theta = g.normal(0, 1.5, (2, n))
+    idx = g.integers(0, p.num_samples, size=(2, 3 * m, 40))
+    losses, slopes, rows = p.sample_batch(theta, idx)
+    assert losses.shape == slopes.shape == (2, 3 * m, 40)
+    assert rows.shape == (2, 3 * m, 40, n)
+    for s in range(2):
+        for r in range(3 * m):
+            ref_losses, ref_grads = p.per_sample(r % m, theta[s], idx[s, r])
+            assert np.array_equal(losses[s, r], ref_losses), (s, r)
+            assert np.array_equal(slopes[s, r][:, None] * rows[s, r], ref_grads), (s, r)
 
 
 def test_estimate_lipschitz(small_linear):
