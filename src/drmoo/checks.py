@@ -36,12 +36,12 @@ def _linear_problem(seed=0, samples=400, dimension=6):
     )
 
 
-def _logistic_problem(seed=0, samples=300, dimension=5):
-    rng = _rng(seed)
-    x = rng.standard_normal((samples, dimension))
-    feats = np.column_stack([x, np.ones(samples)])
-    probs = 1.0 / (1.0 + np.exp(-x @ rng.standard_normal(dimension)))
-    labels = [(rng.random(samples) < probs).astype(float) for _ in range(2)]
+def _logistic_problem():
+    rng = _rng(0)
+    x = rng.standard_normal((300, 5))
+    feats = np.column_stack([x, np.ones(300)])
+    probs = 1.0 / (1.0 + np.exp(-x @ rng.standard_normal(5)))
+    labels = [(rng.random(300) < probs).astype(float) for _ in range(2)]
     return problems.MultiTaskProblem(feats, labels, problems.LOSS_BCE)
 
 
@@ -165,10 +165,10 @@ def check_conjugate() -> CheckResult:
     )
 
 
-def check_simplex_oracle(trials=200) -> CheckResult:
+def check_simplex_oracle() -> CheckResult:
     rng = _rng(12)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(200):
         m = int(rng.integers(1, 6))
         v = rng.normal(0, 2, m)
         worst = max(worst, float(np.abs(
@@ -176,10 +176,10 @@ def check_simplex_oracle(trials=200) -> CheckResult:
     return CheckResult("simplex-projection-oracle", worst <= 1e-8, f"max dev {worst:.2e}")
 
 
-def check_simplex_idempotent(trials=200) -> CheckResult:
+def check_simplex_idempotent() -> CheckResult:
     rng = _rng(13)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(200):
         v = rng.normal(0, 3, int(rng.integers(1, 9)))
         w = simplex.project_simplex(v)
         simplex.validate_preference(w)
@@ -187,10 +187,10 @@ def check_simplex_idempotent(trials=200) -> CheckResult:
     return CheckResult("simplex-idempotence", worst <= 1e-12, f"max dev {worst:.2e}")
 
 
-def check_dual_minimizer(trials=50) -> CheckResult:
+def check_dual_minimizer() -> CheckResult:
     rng = _rng(14)
     worst_g, worst_gap, worst_dev = 0.0, np.inf, 0.0
-    for _ in range(trials):
+    for _ in range(50):
         lam = float(rng.choice([0.5, 1.0, 2.0]))
         ctx = dual.DualContext(lam=lam, lipschitz_g=1.0, num_objectives=1)
         losses = rng.normal(0, 3, int(rng.integers(1, 51)))
@@ -302,7 +302,7 @@ def box_constants(problem, radius):
     return float((2.0 * r * norms).max()), float((2.0 * norms ** 2).max())
 
 
-def check_semi_smoothness(pairs=100) -> CheckResult:
+def check_semi_smoothness() -> CheckResult:
     problem = _linear_problem(seed=2, samples=200, dimension=4)
     radius = 1.5
     g, l = box_constants(problem, radius)
@@ -310,7 +310,7 @@ def check_semi_smoothness(pairs=100) -> CheckResult:
     l0 = g * g * dual.SMOOTHNESS_M / ctx.lam + l
     rng = _rng(18)
     slack = np.inf
-    for _ in range(pairs):
+    for _ in range(100):
         t1 = rng.uniform(-radius, radius, problem.dimension)
         t2 = rng.uniform(-radius, radius, problem.dimension)
         for i in range(problem.num_objectives):
@@ -322,11 +322,6 @@ def check_semi_smoothness(pairs=100) -> CheckResult:
             lhs = float(np.linalg.norm(phi_grad - moved))
             slack = min(slack, l0 * float(np.linalg.norm(t1 - t2)) - lhs)
     return CheckResult("dual-gradient-semi-smoothness", slack >= -1e-8, f"min slack {slack:.2e}")
-
-
-def _local_g(evals) -> float:
-    """Max per-sample gradient norm over already-evaluated batches."""
-    return max(float(np.sqrt((gr * gr).sum(axis=1)).max()) for _, gr in evals)
 
 
 def check_stationarity_chain(trials=100) -> CheckResult:
@@ -341,7 +336,7 @@ def check_stationarity_chain(trials=100) -> CheckResult:
         evals = [problem.per_sample(i, theta) for i in range(m)]
         # G must dominate the per-sample gradients at this theta for the
         # surrogate to be a certified upper bound
-        g_here = _local_g(evals)
+        g_here = problems.estimate_lipschitz(problem, theta)
         ctx = dual.DualContext(lam=1.0, lipschitz_g=g_here, num_objectives=m)
         cols = np.column_stack([
             dual.grad_theta(ctx, gr, lo, eta[i]) for i, (lo, gr) in enumerate(evals)
@@ -375,7 +370,7 @@ def check_gradient_coupling(trials=200) -> CheckResult:
         theta = rng.normal(0, 0.4, problem.dimension)
         eta = rng.normal(0, 0.5, m)
         evals = [problem.per_sample(i, theta) for i in range(m)]
-        g_here = _local_g(evals)
+        g_here = problems.estimate_lipschitz(problem, theta)
         ctx = dual.DualContext(lam=1.0, lipschitz_g=g_here, num_objectives=m)
         jac = dual.rescaled_grads(ctx, evals, theta, eta)
         for i in range(m):
@@ -386,7 +381,7 @@ def check_gradient_coupling(trials=200) -> CheckResult:
     return CheckResult("rescaled-gradient-coupling", slack >= -1e-8, f"min slack {slack:.2e}")
 
 
-def check_bias_bound(trials=100) -> CheckResult:
+def check_bias_bound() -> CheckResult:
     """|grad_theta(theta, eta) - phi'(theta)| <= G * |grad_eta(theta, eta)|."""
     problem = _linear_problem(seed=5, samples=200, dimension=4)
     m = problem.num_objectives
@@ -395,7 +390,7 @@ def check_bias_bound(trials=100) -> CheckResult:
     )
     rng = _rng(21)
     slack = np.inf
-    for _ in range(trials):
+    for _ in range(100):
         theta = rng.normal(0, 0.4, problem.dimension)
         eta = rng.normal(0, 1.0, m)
         g_here = problems.estimate_lipschitz(problem, theta)
@@ -408,9 +403,9 @@ def check_bias_bound(trials=100) -> CheckResult:
     return CheckResult("theta-gradient-bias-bound", slack >= -1e-8, f"min slack {slack:.2e}")
 
 
-def check_pareto_oracle(trials=200) -> CheckResult:
+def check_pareto_oracle() -> CheckResult:
     rng = _rng(22)
-    for _ in range(trials):
+    for _ in range(200):
         k = int(rng.integers(1, 40))
         m = int(rng.integers(2, 5))
         vals = np.round(rng.normal(0, 1, (k, m)), 2)  # rounding forces ties
@@ -419,7 +414,7 @@ def check_pareto_oracle(trials=200) -> CheckResult:
         want = pareto_brute_force(pts)
         if [p.values for p in got] != [p.values for p in want]:
             return CheckResult("pareto-filter-oracle", False, "mismatch against brute force")
-    return CheckResult("pareto-filter-oracle", True, f"{trials} random sets agree")
+    return CheckResult("pareto-filter-oracle", True, "200 random sets agree")
 
 
 def check_clip_caps() -> CheckResult:
@@ -446,7 +441,7 @@ def check_clip_caps() -> CheckResult:
     return CheckResult("clip-step-caps", ok, f"max cap excess {worst:.2e}, simplex {on_simplex}")
 
 
-def check_trace_reproducibility(tmpdir=None) -> CheckResult:
+def check_trace_reproducibility() -> CheckResult:
     import tempfile
     from pathlib import Path
 
@@ -456,7 +451,7 @@ def check_trace_reproducibility(tmpdir=None) -> CheckResult:
     )
     cfg = solvers.DoubleLoopConfig(alpha=1e-4, beta=1e-4, gamma=5e-3, rho=1e-5,
                                    T=30, D=5, B=16, seeds=(3,))
-    with tempfile.TemporaryDirectory(dir=tmpdir) as td:
+    with tempfile.TemporaryDirectory() as td:
         paths = [Path(td) / f"r{k}.csv" for k in range(2)]
         for p in paths:
             trace.write_trace(solvers.run_double_loop(cfg, problem, ctx)[0], p)
@@ -466,15 +461,15 @@ def check_trace_reproducibility(tmpdir=None) -> CheckResult:
     return CheckResult("trace-reproducibility", same, "all columns identical (wall_ms exempt)")
 
 
-def run_checks(grad_eta_fn=None):
-    """The full suite; grad_eta_fn only feeds the linear FD check (used by
-    the mutation self-test)."""
+def run_checks():
+    """The full suite, each check at its own fixed seeds and sizes (the
+    mutation self-test calls check_gradient_fd_linear on its own)."""
     return [
         check_conjugate(),
         check_simplex_oracle(),
         check_simplex_idempotent(),
         check_dual_minimizer(),
-        check_gradient_fd_linear(grad_eta_fn),
+        check_gradient_fd_linear(),
         check_gradient_fd_logistic(),
         check_rescaled_fd(),
         check_semi_smoothness(),

@@ -174,8 +174,9 @@ def run_experiment(runs, echo=print) -> int:
     of its group, and the other jobs still run; so is a failed trace write
     (one line on stderr). A worker that dies records each seed of its job,
     and of every job the broken pool could not finish, as
-    error:BrokenProcessPool. Config trouble and problem-build I/O errors
-    raise ConfigError/OSError before any job starts. Returns the process
+    error:BrokenProcessPool. Config trouble, a g = auto estimate that is not
+    positive and finite included, and problem-build I/O errors raise
+    ConfigError/OSError before any job starts. Returns the process
     exit status: 0, or 1 when a job raised.
 
     The pool forks, so workers inherit the problems without pickling and see
@@ -189,10 +190,14 @@ def run_experiment(runs, echo=print) -> int:
         if key not in problems:
             problems[key] = _build_problem(cfg)
         problem = problems[key]
-        if cfg.g == "auto" and key not in estimates:
-            estimates[key] = estimate_lipschitz(problem)
-        g = estimates[key] if cfg.g == "auto" else float(cfg.g)
-        blocks.append((cfg, problem, DualContext(cfg.lam, g, problem.num_objectives)))
+        try:  # a g = auto estimate may vanish or overflow
+            if cfg.g == "auto" and key not in estimates:
+                estimates[key] = estimate_lipschitz(problem)
+            g = estimates[key] if cfg.g == "auto" else float(cfg.g)
+            ctx = DualContext(cfg.lam, g, problem.num_objectives)
+        except ValueError as exc:
+            raise ConfigError(f"[run.{cfg.name}]: {exc}") from None
+        blocks.append((cfg, problem, ctx))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cpus = cpus or 1
     groups = -(-cpus // len(blocks))

@@ -129,16 +129,17 @@ def robust_frontier(spec: ToySpec, num_draws: int = 200, lam: float = 1.0, seed:
                  for c in clouds)
 
 
-def window_means(values, window: int = 20):
-    """(mean of the first `window` entries, mean of the last `window`).
+def window_means(values):
+    """(mean of the first 20 entries, mean of the last 20).
 
-    The two windows may overlap when the series is shorter than 2*window;
-    used for the initial-vs-final trend summaries of solver traces.
+    The two windows may overlap when the series is shorter than 40; used
+    for the initial-vs-final trend summaries (init20, final20) of solver
+    traces.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("empty series")
-    k = min(window, values.size)
+    k = min(20, values.size)
     return float(values[:k].mean()), float(values[-k:].mean())
 
 

@@ -78,9 +78,8 @@ def make_stream(seed: int, role: int, objective: int) -> np.random.Generator:
 
 @dataclass
 class RunTrace:
-    """Per-iteration records of one solver run.
+    """Per-iteration records of one solver run; row t is iteration t.
 
-    iterations: (T,) iteration indices 0..T-1.
     samples: (T,) cumulative gradient-oracle samples consumed, strictly
         increasing; metric-only full-batch evaluations are not counted.
     wall_ms: (T,) cumulative wall-clock milliseconds (measured, and the one
@@ -101,7 +100,6 @@ class RunTrace:
         trace then ends with that iteration's row.
     """
 
-    iterations: np.ndarray
     samples: np.ndarray
     wall_ms: np.ndarray
     losses: np.ndarray
@@ -113,19 +111,26 @@ class RunTrace:
     diverged_at: int = None
 
     def __len__(self):
-        return self.iterations.shape[0]
+        return self.samples.shape[0]
 
     @property
     def num_objectives(self) -> int:
         return self.losses.shape[1]
 
 
-def _require_finite(cfg):
-    """Reject a solver config with a nan or infinite float field."""
+def _check_ranges(cfg):
+    """The range rule of every solver config: a float field is finite and
+    positive, except rho, which may be 0; an int field is >= 1."""
     for f in fields(cfg):
         v = getattr(cfg, f.name)
-        if isinstance(v, float) and not math.isfinite(v):
+        if f.type is int and v < 1:
+            raise ValueError(f"{f.name} must be >= 1, got {v}")
+        if f.type is float and not math.isfinite(v):
             raise ValueError(f"{f.name} must be finite, got {v}")
+        if f.type is float and f.name == "rho" and v < 0:
+            raise ValueError(f"rho must be nonnegative, got {v}")
+        if f.type is float and f.name != "rho" and v <= 0:
+            raise ValueError(f"{f.name} must be positive, got {v}")
 
 
 @dataclass(frozen=True)
@@ -139,14 +144,7 @@ class DoubleLoopConfig:
     B: int = 256  # outer batch size
     seeds: tuple = (0,)  # run in lockstep
 
-    def __post_init__(self):
-        _require_finite(self)
-        if min(self.alpha, self.beta, self.gamma) <= 0:
-            raise ValueError("step sizes must be positive")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if min(self.T, self.D, self.B) < 1:
-            raise ValueError("T, D and B must be >= 1")
+    __post_init__ = _check_ranges
 
 
 @dataclass(frozen=True)
@@ -163,16 +161,7 @@ class DoubleClipConfig:
     T: int = 600
     seeds: tuple = (0,)
 
-    def __post_init__(self):
-        _require_finite(self)
-        if min(self.gamma, self.beta) <= 0:
-            raise ValueError("step sizes must be positive")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if min(self.c1, self.c2, self.f1, self.f2) <= 0:
-            raise ValueError("clip constants must be positive")
-        if min(self.N1, self.N2, self.T) < 1:
-            raise ValueError("N1, N2 and T must be >= 1")
+    __post_init__ = _check_ranges
 
 
 @dataclass(frozen=True)
@@ -186,14 +175,7 @@ class BaselineConfig:
     B: int = 256
     seeds: tuple = (0,)
 
-    def __post_init__(self):
-        _require_finite(self)
-        if min(self.lr, self.beta) <= 0:
-            raise ValueError("step sizes must be positive")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if min(self.T, self.B) < 1:
-            raise ValueError("T and B must be >= 1")
+    __post_init__ = _check_ranges
 
 
 def samples_per_step(solver, cfg, m) -> int:
@@ -317,7 +299,6 @@ def _mgda_loop(cfg, problem, ctx: DualContext, per_step, step, diagnostics) -> l
     for s, stop in enumerate(diverged_at):
         rows = steps if stop is None else stop + 1
         traces.append(RunTrace(
-            iterations=np.arange(rows),
             samples=per_step * np.arange(1, rows + 1, dtype=np.int64),
             wall_ms=wall_ms[:rows],
             **{name: arr[s, :rows] for name, arr in log.items()},

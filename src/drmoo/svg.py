@@ -37,11 +37,11 @@ def _frame(title_y, title_x):
     return parts, (x0, x1, y0, y1)
 
 
-def _ticks_linear(lo, hi, count=5):
+def _ticks_linear(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + k * step for k in range(count)]
+    step = (hi - lo) / 4
+    return [lo + k * step for k in range(5)]
 
 
 def emit_svg_plot(trace_paths, metric: str, out_path) -> Path:
@@ -103,8 +103,8 @@ def emit_svg_plot(trace_paths, metric: str, out_path) -> Path:
     return out_path
 
 
-def emit_svg_scatter(point_sets, labels, out_path, xlabel="f1", ylabel="f2") -> Path:
-    """Linear-axes scatter of labelled (x, y) point sets (frontier views)."""
+def emit_svg_scatter(point_sets, labels, out_path) -> Path:
+    """Linear-axes scatter of labelled (f1, f2) point sets (frontier views)."""
     if not point_sets or len(point_sets) != len(labels):
         raise ValueError("need matching nonempty point sets and labels")
     allx = [x for pts in point_sets for x, _ in pts]
@@ -118,7 +118,7 @@ def emit_svg_scatter(point_sets, labels, out_path, xlabel="f1", ylabel="f2") -> 
     xlo, xhi = xlo - xpad, xhi + xpad
     ylo, yhi = ylo - ypad, yhi + ypad
 
-    parts, (x0, x1, y0, y1) = _frame(ylabel, xlabel)
+    parts, (x0, x1, y0, y1) = _frame("f2", "f1")
 
     def sx(x):
         return x0 + (x - xlo) / (xhi - xlo) * (x1 - x0)

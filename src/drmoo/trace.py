@@ -50,7 +50,8 @@ def atomic_open(path):
 
 
 def write_trace(trace, path) -> Path:
-    """Write a solvers.RunTrace as CSV (schema above); returns the path.
+    """Write a solvers.RunTrace as CSV (schema above), numbering its rows
+    0..T-1 in the iter column; returns the path.
 
     Each row is one %-format of its two integers and its reals, and %.17g
     writes a float as _fmt does (tests pin this)."""
@@ -59,8 +60,8 @@ def write_trace(trace, path) -> Path:
     row = "%d,%d" + ",%.17g" * (3 * m + 3) + "\n"
     reals = np.column_stack((trace.wall_ms, trace.losses, trace.balanced_grad,
                              trace.surrogate_stat, trace.w, trace.eta)).tolist()
-    body = "".join(row % (i, n, *r) for i, n, r in
-                   zip(trace.iterations.tolist(), trace.samples.tolist(), reals))
+    body = "".join(row % (i, n, *r) for i, (n, r) in
+                   enumerate(zip(trace.samples.tolist(), reals)))
     with atomic_open(path) as fh:
         fh.write(",".join(trace_header(m)) + "\n" + body)
     return path

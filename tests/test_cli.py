@@ -467,6 +467,11 @@ def test_check_reports_and_exit_codes(capsys, monkeypatch):
     assert "1/1 properties hold" in capsys.readouterr().out
 
 
+def test_check_runs_the_real_suite(capsys):
+    assert cli.main(["check"]) == 0
+    assert capsys.readouterr().out.endswith("\n14/14 properties hold\n")
+
+
 def test_check_self_test_catches_planted_bug(capsys):
     assert cli.main(["check", "--self-test"]) == 0
     assert "self-test ok" in capsys.readouterr().out
@@ -600,13 +605,13 @@ def test_bad_arguments_exit_1_with_one_error_line(workdir, capsys, recwarn, argv
         ("mgda", "seeds", "0,-1", r"line 9: key 'seeds' must be nonnegative, got '0,-1'"),
         ("mgda", "seeds", "0,1,0", r"line 9: key 'seeds' repeats seed 0"),
         # solver fields: the solver dataclass's check, at the block's line
-        ("mgda", "B", "0", r"line 6: \[run\.bad\]: T and B must be >= 1"),
-        ("double_clip", "B", "0", r"line 6: \[run\.bad\]: N1, N2 and T must be >= 1"),
-        ("mgda", "lr", "-1", r"line 6: \[run\.bad\]: step sizes must be positive"),
-        ("double_clip", "c1", "0", r"line 6: \[run\.bad\]: clip constants must be positive"),
-        ("double_loop", "D", "0", r"line 6: \[run\.bad\]: T, D and B must be >= 1"),
-        ("double_clip", "N1", "0", r"line 6: \[run\.bad\]: N1, N2 and T must be >= 1"),
-        ("modo", "rho", "-1", r"line 6: \[run\.bad\]: rho must be nonnegative"),
+        ("mgda", "B", "0", r"line 6: \[run\.bad\]: B must be >= 1, got 0$"),
+        ("double_clip", "B", "0", r"line 6: \[run\.bad\]: N1 must be >= 1, got 0$"),
+        ("mgda", "lr", "-1", r"line 6: \[run\.bad\]: lr must be positive, got -1.0$"),
+        ("double_clip", "c1", "0", r"line 6: \[run\.bad\]: c1 must be positive, got 0.0$"),
+        ("double_loop", "D", "0", r"line 6: \[run\.bad\]: D must be >= 1, got 0$"),
+        ("double_clip", "N1", "0", r"line 6: \[run\.bad\]: N1 must be >= 1, got 0$"),
+        ("modo", "rho", "-1", r"line 6: \[run\.bad\]: rho must be nonnegative, got -1.0$"),
     ],
 )
 def test_bad_block_values_fail_before_any_job(workdir, capsys, solver, key, value, want):
@@ -618,4 +623,28 @@ def test_bad_block_values_fail_before_any_job(workdir, capsys, solver, key, valu
     assert cli.main(["run", "exp.cfg"]) == 1
     err = capsys.readouterr().err
     assert re.match("error: " + want, err) and err.count("\n") == 1
+    assert list(workdir.iterdir()) == [workdir / "exp.cfg"]  # no trace, no summary
+
+
+def _no_estimate(problem):
+    raise ValueError("all per-sample gradients vanish; cannot estimate G")
+
+
+@pytest.mark.parametrize(
+    "estimate, want",
+    [
+        # toy_std = 1e200 overflows the g = auto estimate to inf
+        (estimate_lipschitz, r"lipschitz_g must be positive and finite, got inf"),
+        (_no_estimate, r"all per-sample gradients vanish"),
+    ],
+)
+def test_bad_g_estimate_fails_before_any_job(workdir, capsys, monkeypatch, estimate, want):
+    monkeypatch.setattr(cli, "estimate_lipschitz", estimate)
+    _write(workdir / "exp.cfg",
+           "output_dir = out\n[run.a]\nproblem = toy\nsolver = mgda\ntoy_std = 1e200\nT = 5\n")
+    with np.errstate(over="ignore"):
+        assert cli.main(["run", "exp.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.match(r"error: \[run\.a\]: " + want, err.splitlines()[-1])
     assert list(workdir.iterdir()) == [workdir / "exp.cfg"]  # no trace, no summary

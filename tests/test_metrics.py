@@ -258,9 +258,9 @@ def test_window_means():
     assert init == 10.0
     assert final == 2.0
     # shorter than a window: both means collapse to the global mean
-    init, final = window_means([1.0, 3.0], window=20)
+    init, final = window_means([1.0, 3.0])
     assert init == final == 2.0
-    init, final = window_means([5.0], window=3)
+    init, final = window_means([5.0])
     assert init == final == 5.0
     with pytest.raises(ValueError, match="empty"):
         window_means([])

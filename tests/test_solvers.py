@@ -16,6 +16,7 @@ from drmoo.dual import (
     conjugate_deriv,
     grad_eta,
     grad_theta,
+    rescaled_grads,
 )
 from drmoo.metrics import surrogate_stationarity
 from drmoo.problems import (
@@ -26,10 +27,13 @@ from drmoo.problems import (
     estimate_lipschitz,
     gen_linear,
 )
+from drmoo.simplex import uniform_preference
 from drmoo.solvers import (
     DRAW_CHUNK,
     ROLE_INDEX,
+    ROLE_X,
     ROLE_Y,
+    ROLE_Z,
     BaselineConfig,
     DoubleClipConfig,
     DoubleLoopConfig,
@@ -102,17 +106,17 @@ class _ThetaRecorder:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="step sizes"):
+    with pytest.raises(ValueError, match="^alpha must be positive, got 0.0$"):
         _dl_cfg(alpha=0.0)
-    with pytest.raises(ValueError, match="rho"):
+    with pytest.raises(ValueError, match="^rho must be nonnegative, got -1.0$"):
         _dl_cfg(rho=-1.0)
-    with pytest.raises(ValueError, match=">= 1"):
+    with pytest.raises(ValueError, match="^D must be >= 1, got 0$"):
         _dl_cfg(D=0)
-    with pytest.raises(ValueError, match="clip constants"):
+    with pytest.raises(ValueError, match="^c2 must be positive, got 0.0$"):
         _dc_cfg(c2=0.0)
-    with pytest.raises(ValueError, match="N1, N2 and T"):
+    with pytest.raises(ValueError, match="^N2 must be >= 1, got 0$"):
         _dc_cfg(N2=0)
-    with pytest.raises(ValueError, match="step sizes"):
+    with pytest.raises(ValueError, match="^lr must be positive, got -1.0$"):
         _bl_cfg(lr=-1.0)
 
 
@@ -122,10 +126,26 @@ def test_config_validation():
     bad=st.sampled_from([math.nan, math.inf, -math.inf]),
 )
 def test_config_rejects_nonfinite_floats(make, data, bad):
+    # the one range rule, on any field of any config: a float is finite and
+    # positive, except that rho may be 0; an int is >= 1
     floats = [f.name for f in dataclasses.fields(make()) if f.type is float]
     name = data.draw(st.sampled_from(floats))
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         make(**{name: bad})
+    low = data.draw(st.floats(max_value=0.0, allow_nan=False, allow_infinity=False))
+    if name == "rho" and low == 0:
+        assert make(rho=low).rho == 0
+    else:
+        rule = "nonnegative" if name == "rho" else "positive"
+        with pytest.raises(ValueError, match=f"^{name} must be {rule}, got "):
+            make(**{name: low})
+    assert make(rho=0.0).rho == 0
+    with pytest.raises(ValueError, match="^rho must be nonnegative, got "):
+        make(rho=-data.draw(st.floats(min_value=5e-324, allow_infinity=False)))
+    ints = [f.name for f in dataclasses.fields(make()) if f.type is int]
+    name = data.draw(st.sampled_from(ints))
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got "):
+        make(**{name: data.draw(st.integers(max_value=0))})
 
 
 def test_solver_rejects_objective_mismatch():
@@ -144,7 +164,6 @@ def test_trace_shape_and_counters(run, make_cfg):
     tr, = run(make_cfg(), problem, _ctx(problem))
     assert len(tr) == 25
     assert tr.num_objectives == 3
-    assert np.array_equal(tr.iterations, np.arange(25))
     assert np.all(np.diff(tr.samples) > 0)  # strictly increasing
     assert np.all(np.diff(tr.wall_ms) >= 0)
     assert np.all(np.isfinite(tr.losses))
@@ -251,6 +270,28 @@ def test_zero_gradient_problem_freezes_double_clip():
     assert np.array_equal(tr.eta, np.zeros((10, 2)))
     assert np.array_equal(tr.w, np.full((10, 2), 0.5))
     assert np.all(tr.balanced_grad == 0.0)
+
+
+def test_double_clip_step_is_rescaled_grads():
+    # one double_clip step redone from dual.rescaled_grads, the reference
+    # parameterization, on the step's own Z and X batches
+    problem = _problem()
+    ctx = _ctx(problem)
+    cfg = _dc_cfg(T=1, N1=16, N2=24, seeds=(3,))
+    tr, = run_double_clip(cfg, problem, ctx)
+    m, big_n = problem.num_objectives, problem.num_samples
+    theta, w = np.zeros(problem.dimension), uniform_preference(m)
+    z_idx, = next(_index_steps(cfg.seeds, (ROLE_Z,), m, big_n, cfg.N2, 1))
+    x_idx, = next(_index_steps(cfg.seeds, (ROLE_X,), m, big_n, cfg.N1, 1))
+    z_batches = [problem.per_sample(i, theta, z_idx[i]) for i in range(m)]
+    zw = rescaled_grads(ctx, z_batches, theta, np.zeros(m)).eta_grads * w
+    zw_norm = np.linalg.norm(zw)
+    eta = -cfg.gamma * min(cfg.f1, cfg.f2 / zw_norm) * zw
+    x_batches = [problem.per_sample(i, theta, x_idx[i]) for i in range(m)]
+    xw_norm = np.linalg.norm(rescaled_grads(ctx, x_batches, theta, eta).theta_grads @ w)
+    np.testing.assert_allclose(tr.diagnostics["zw_norm"], [zw_norm], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(tr.eta[0], eta, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(tr.diagnostics["xw_norm"], [xw_norm], rtol=1e-12, atol=0)
 
 
 # --- constant-loss behavior of the double loop -------------------------------

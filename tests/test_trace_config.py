@@ -32,7 +32,6 @@ def _toy_trace(rows=4, m=3, seed=5):
     losses[0, 0] = 1.0 / 3.0
     losses[-1, -1] = 1e-17
     return RunTrace(
-        iterations=np.arange(rows),
         samples=np.cumsum(r.integers(10, 99, rows)),
         wall_ms=np.cumsum(r.random(rows)),
         losses=losses,
@@ -59,7 +58,7 @@ def test_write_read_round_trip_is_exact(tmp_path):
     path = write_trace(tr, tmp_path / "a.csv")
     cols = read_trace(path)
     assert list(cols) == trace_header(3)
-    assert np.array_equal(cols["iter"], tr.iterations)
+    assert np.array_equal(cols["iter"], np.arange(len(tr)))
     assert np.array_equal(cols["samples"], tr.samples)
     assert np.array_equal(cols["wall_ms"], tr.wall_ms)
     for j in range(3):
@@ -84,7 +83,6 @@ def test_trace_rows_read_as_fmt_of_each_value(tmp_path_factory, rows, m, data):
         return np.array(data.draw(st.lists(REALS, min_size=n, max_size=n))).reshape(shape)
 
     tr = RunTrace(
-        iterations=np.arange(rows),
         samples=np.array(data.draw(st.lists(st.integers(0, 2**62), min_size=rows, max_size=rows))),
         wall_ms=reals(rows), losses=reals(rows, m), balanced_grad=reals(rows),
         surrogate_stat=reals(rows), w=reals(rows, m), eta=reals(rows, m), diagnostics={},
