@@ -319,16 +319,12 @@ def cmd_pareto_toy(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out_csv = Path(args.out_csv)
+    body = "".join("%s,%.17g,%.17g,%.17g\n" % (tag, p.theta, *p.values)
+                   for tag, pts in (("nominal", nominal), ("robust", robust)) for p in pts)
     with atomic_open(out_csv) as fh:
-        fh.write("frontier,theta,f1,f2\n")
-        for tag, pts in (("nominal", nominal), ("robust", robust)):
-            for p in pts:
-                fh.write(f"{tag},{_fmt(p.theta)},{_fmt(p.values[0])},{_fmt(p.values[1])}\n")
-    emit_svg_scatter(
-        [[p.values for p in nominal], [p.values for p in robust]],
-        ["nominal", "robust"],
-        args.out_svg,
-    )
+        fh.write("frontier,theta,f1,f2\n" + body)
+    emit_svg_scatter([[p.values for p in nominal], [p.values for p in robust]],
+                     ["nominal", "robust"], args.out_svg)
     print(
         f"nominal frontier {len(nominal)} points, robust {len(robust)}; "
         f"wrote {out_csv} and {args.out_svg}"

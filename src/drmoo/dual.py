@@ -72,6 +72,8 @@ class DualContext:
             raise ValueError(f"lipschitz_g must be positive and finite, got {self.lipschitz_g}")
         if self.num_objectives < 1:
             raise ValueError(f"num_objectives must be >= 1, got {self.num_objectives}")
+        if not math.isfinite(self.eta_scale):
+            raise ValueError(f"lipschitz_g * sqrt(m) overflows, got lipschitz_g = {self.lipschitz_g}")
 
     @property
     def eta_scale(self) -> float:

@@ -4,6 +4,9 @@ The balanced gradient norm ||sum_i w^i g_i|| measures Pareto stationarity of
 the robust objectives; the stationarity surrogate adds the dual-gradient
 term G * sum_i w^i |d/d eta^i| that upper-bounds the bias of evaluating the
 theta-gradients away from the exact dual minimizers.
+The Pareto filter keeps a point iff no point before it in a stable
+lexicographic sort is <= it everywhere: a prefix minimum of f2 for two
+objectives (O(k log k)), row chunks of comparisons for more.
 """
 
 import math
@@ -15,7 +18,7 @@ from .dual import DualContext, ObjectiveJacobian, conjugate_value, exact_dual_mi
 from .dual import dual_value  # noqa: F401 (re-exported for the benchmark's tracer)
 from .problems import ToySpec, perturbation_ensemble, toy_objectives
 
-# element budget of the row chunks robust_frontier and pareto_filter work on
+# element budget of robust_frontier's loss chunks and, for m > 2, the sort rule's comparisons
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -67,31 +70,42 @@ def _row_chunks(rows: int, cols: int):
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
+def _pareto_keep(values) -> np.ndarray:
+    """Sorted indices of the non-dominated rows of a (k, m) array, each
+    distinct row at its first occurrence. After a stable lexicographic sort a
+    row goes iff an earlier row is <= it in coordinates 1..m-1 (and so in 0):
+    a dominator or a repeat, both of which sort first."""
+    k, m = values.shape
+    order = np.lexsort(values.T[::-1])
+    v = values[order]
+    keep = np.ones(k, dtype=bool)
+    if m == 2:
+        keep[1:] = v[1:, 1] < np.minimum.accumulate(v[:-1, 1])
+    else:  # for m = 1 only the first row survives
+        for rows in _row_chunks(k, k):
+            head = v[:rows.stop]  # every row that sorts before one of the chunk's
+            below = np.arange(len(head)) < np.arange(k)[rows, None]  # [i, j]: j before i
+            for c in range(1, m):
+                below &= head[:, c] <= v[rows, c, None]
+            keep[rows] = ~below.any(axis=1)
+    return np.sort(order[keep])
+
+
 def pareto_filter(points):
     """Non-dominated subset of points, input order preserved.
 
     q dominates p when q's values are <= p's in every coordinate and < in at
-    least one. Exact duplicates are collapsed to their first occurrence
-    before filtering (ties never dominate each other). A distinct point is
-    then kept when it is the only one <= it everywhere, tested on row chunks
-    of the (k, k) block of per-coordinate comparisons ANDed together.
+    least one; exact duplicates count once, at their first occurrence. The
+    points are sorted lexicographically (stably), and a point is kept iff no
+    earlier point in that order is <= it in every coordinate; for m = 2 that
+    is a strict prefix minimum of the second coordinate.
     """
-    uniq = {}  # first point of each distinct value tuple
-    for p in points:
-        uniq.setdefault(p.values, p)
-    if not uniq:
+    if not points:
         return []
-    m = len(next(iter(uniq)))
-    if any(len(v) != m for v in uniq):
+    if len({len(p.values) for p in points}) > 1:
         raise ValueError("points mix different numbers of objectives")
-    cols = np.array(list(uniq)).T.copy()  # (m, k), one row per coordinate
-    keep = np.empty(len(uniq), dtype=bool)
-    for rows in _row_chunks(len(uniq), len(uniq)):
-        below = cols[0] <= cols[0, rows, None]  # [i, j]: j <= i in every coordinate, once ANDed
-        for c in range(1, m):
-            below &= cols[c] <= cols[c, rows, None]
-        keep[rows] = np.count_nonzero(below, axis=1) == 1
-    return [p for p, k in zip(uniq.values(), keep) if k]
+    values = np.array([p.values for p in points], dtype=float)
+    return [points[i] for i in _pareto_keep(values).tolist()]
 
 
 def robust_frontier(spec: ToySpec, num_draws: int = 200, lam: float = 1.0, seed: int = 0):
@@ -101,32 +115,36 @@ def robust_frontier(spec: ToySpec, num_draws: int = 200, lam: float = 1.0, seed:
     toy_objectives; the robust value of objective i treats the i-th
     objective's evaluations under the perturbation ensemble (scale
     spec.perturbation_std) as the loss samples of the dual objective and
-    minimizes the dual scalar out exactly. On a k-point grid the sample sets
-    of objectives 1 and 2 at point r are rows r and k + r of one C-ordered
-    (2k, num_draws) block, taken in row chunks; a value is dual_value's
-    arithmetic as a row mean, equal to dual_value on that row bit for bit.
-    Both point clouds then pass through pareto_filter.
+    minimizes the dual scalar out exactly, in row chunks of each objective's
+    (k, num_draws) losses on a k-point grid (toy_objectives' arithmetic); a
+    value is dual_value's arithmetic as a row mean, equal to dual_value on
+    that row bit for bit. Only the columns of the two (2, k) clouds that
+    pareto_filter's rule keeps become FrontierPoints. An overflow raises a
+    ValueError naming the std.
 
     Returns (nominal_frontier, robust_frontier) as FrontierPoint lists. With
     perturbation_std=0 the ensemble is a point mass, the dual of a constant
     sample set is that constant, and the two frontiers coincide.
     """
     grid = np.asarray(spec.grid, dtype=float)
-    k = grid.size
-    specs = perturbation_ensemble(spec, num_draws, seed)
     ctx = DualContext(lam=lam, lipschitz_g=1.0, num_objectives=2)
-
-    losses = np.empty((2 * k, num_draws))
-    for j, s in enumerate(specs):
-        losses[:k, j], losses[k:, j] = toy_objectives(s, grid)
-    robust = np.empty(2 * k)
-    for rows in _row_chunks(2 * k, num_draws):
-        eta = exact_dual_min(ctx, losses[rows])
-        t = (losses[rows] - eta[:, None]) / ctx.lam
-        robust[rows] = ctx.lam * np.mean(conjugate_value(t), axis=1) + eta
-    clouds = (np.stack(toy_objectives(spec, grid)), robust.reshape(2, k))  # (f1, f2) rows
-    return tuple(pareto_filter(list(map(FrontierPoint, grid.tolist(), zip(*c.tolist()))))
-                 for c in clouds)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            shifts = np.array([(s.x1, s.b1, s.x2, s.b2)  # (4, num_draws)
+                               for s in perturbation_ensemble(spec, num_draws, seed)]).T
+            clouds = (np.stack(toy_objectives(spec, grid)), np.empty((2, grid.size)))
+            for i, (x, b) in enumerate((shifts[:2], shifts[2:])):
+                for rows in _row_chunks(grid.size, num_draws):
+                    losses = np.square(grid[rows, None] - x) + b
+                    eta = exact_dual_min(ctx, losses)
+                    t = (losses - eta[:, None]) / ctx.lam
+                    clouds[1][i, rows] = ctx.lam * np.mean(conjugate_value(t), axis=1) + eta
+    except FloatingPointError:
+        raise ValueError(f"toy losses overflow at perturbation std {spec.perturbation_std} "
+                         f"on grid [{grid.min()}, {grid.max()}]") from None
+    kept = [_pareto_keep(c.T) for c in clouds]
+    return tuple([FrontierPoint(t, tuple(v)) for t, v in zip(grid[j].tolist(), c[:, j].T.tolist())]
+                 for c, j in zip(clouds, kept))
 
 
 def window_means(values):

@@ -3,6 +3,7 @@
 import os
 import re
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor, wait
 from pathlib import Path
 
@@ -447,6 +448,17 @@ def test_pareto_toy_rejects_bad_grid(workdir, capsys, grid):
     assert "grid" in capsys.readouterr().err
 
 
+def test_pareto_toy_overflowing_std_is_one_error_line(workdir, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["pareto-toy", "--std=1e200", "--out-csv=p.csv", "--out-svg=p.svg"]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert re.fullmatch(r"error: toy losses overflow at perturbation std 1e\+200 .*\n", err)
+    assert list(workdir.iterdir()) == []  # no CSV, no SVG
+
+
 # --- check -------------------------------------------------------------------
 
 
@@ -647,4 +659,19 @@ def test_bad_g_estimate_fails_before_any_job(workdir, capsys, monkeypatch, estim
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert re.match(r"error: \[run\.a\]: " + want, err.splitlines()[-1])
+    assert list(workdir.iterdir()) == [workdir / "exp.cfg"]  # no trace, no summary
+
+
+def test_overflowing_eta_scale_fails_before_any_job(workdir, capsys):
+    # g itself is finite, but g * sqrt(2) for the toy pair is not
+    _write(workdir / "exp.cfg",
+           "output_dir = out\n[run.ok]\nproblem = toy\nsolver = mgda\nT = 3\n"
+           "[run.a]\nproblem = toy\nsolver = double_clip\ng = 1.5e308\nT = 5\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", "exp.cfg"]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: \[run\.a\]: lipschitz_g \* sqrt\(m\) overflows, "
+                        r"got lipschitz_g = 1\.5e\+308\n", err)
     assert list(workdir.iterdir()) == [workdir / "exp.cfg"]  # no trace, no summary

@@ -173,6 +173,21 @@ def test_pareto_filter_row_chunks_match_brute_force(monkeypatch, budget):
         assert pareto_filter(pts) == pareto_brute_force(pts)
 
 
+def test_pareto_two_objectives_signed_zeros_and_repeats():
+    # -0.0 == 0.0, so (-0.0, 1) repeats (0.0, 1): the first occurrence stays,
+    # with its own sign, and later repeats of any point go
+    values = [(-0.0, 1.0), (1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (1.0, 0.0),
+              (0.5, 0.5), (-0.0, 2.0), (0.0, 1.0), (1.0, -0.0)]
+    pts = _pts(values)
+    got = pareto_filter(pts)
+    assert got == [pts[0], pts[1], pts[3]]
+    assert np.signbit(got[0].values[0])
+    assert got == pareto_brute_force(pts)
+    flipped = _pts([(0.0, 1.0), (-0.0, 1.0)])
+    assert pareto_filter(flipped) == flipped[:1]
+    assert not np.signbit(pareto_filter(flipped)[0].values[0])
+
+
 # --- robust frontier ---------------------------------------------------------
 
 
@@ -247,6 +262,28 @@ def test_robust_frontier_equals_the_row_by_row_values(monkeypatch, points, draws
     assert nominal == pareto_brute_force(
         [FrontierPoint(float(t), toy_objectives(spec, float(t))) for t in grid]
     )
+
+
+@pytest.mark.parametrize("std", [0.0, 0.5])
+@pytest.mark.parametrize("points", [41, 401])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_robust_frontier_is_the_brute_force_frontier_of_the_full_clouds(std, points, seed):
+    # every grid point becomes a FrontierPoint here, one row at a time, and
+    # the independent O(k^2) filter picks the frontier of each whole cloud
+    grid = np.linspace(-1.0, 3.0, points)
+    spec = ToySpec(perturbation_std=std, grid=tuple(grid))
+    nominal, robust = robust_frontier(spec, num_draws=50, lam=1.0, seed=seed)
+
+    ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=2)
+    specs = perturbation_ensemble(spec, 50, seed)
+    nominal_cloud, robust_cloud = [], []
+    for t in grid.tolist():
+        nominal_cloud.append(FrontierPoint(t, toy_objectives(spec, t)))
+        rows = [np.array([toy_objectives(s, t)[k] for s in specs]) for k in (0, 1)]
+        robust_cloud.append(FrontierPoint(t, tuple(
+            dual_value(ctx, r, exact_dual_min(ctx, r)) for r in rows)))
+    assert nominal == pareto_brute_force(nominal_cloud)  # theta and exact values
+    assert robust == pareto_brute_force(robust_cloud)
 
 
 # --- trend windows -----------------------------------------------------------

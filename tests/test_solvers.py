@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drmoo import solvers
+from drmoo.checks import simplex_projection_oracle
 from drmoo.dual import (
     SMOOTHNESS_M,
     DualContext,
     ObjectiveJacobian,
     conjugate_deriv,
+    dual_value,
     grad_eta,
     grad_theta,
     rescaled_grads,
@@ -31,6 +33,8 @@ from drmoo.simplex import uniform_preference
 from drmoo.solvers import (
     DRAW_CHUNK,
     ROLE_INDEX,
+    ROLE_JOINT_A,
+    ROLE_JOINT_B,
     ROLE_X,
     ROLE_Y,
     ROLE_Z,
@@ -292,6 +296,47 @@ def test_double_clip_step_is_rescaled_grads():
     np.testing.assert_allclose(tr.diagnostics["zw_norm"], [zw_norm], rtol=1e-12, atol=0)
     np.testing.assert_allclose(tr.eta[0], eta, rtol=1e-12, atol=0)
     np.testing.assert_allclose(tr.diagnostics["xw_norm"], [xw_norm], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("run, roles", [
+    (run_stochastic_mgda, (ROLE_JOINT_A,)),
+    (run_modo, (ROLE_JOINT_A, ROLE_JOINT_B)),
+])
+def test_baseline_step_is_the_reference_oracle(run, roles):
+    # the first step of mgda and modo redone from dual.grad_theta, grad_eta
+    # and dual_value on its own A (and B) batches; T = 2 so that the trace's
+    # second row and the sampler's second theta show the step's result
+    problem = _problem()
+    recorder = _ThetaRecorder(problem)
+    ctx = _ctx(problem)
+    cfg = _bl_cfg(T=2, B=16, lr=1e-2, beta=1e-3, seeds=(3,))
+    tr, = run(cfg, recorder, ctx)
+    m, big_n = problem.num_objectives, problem.num_samples
+    theta, eta, w = np.zeros(problem.dimension), np.zeros(m), uniform_preference(m)
+    idx, = next(_index_steps(cfg.seeds, roles, m, big_n, cfg.B, 1))
+    a, b = idx[:m], idx[-m:]  # b is a for mgda
+    assert len(idx) == len(roles) * m
+
+    def oracle(batch):
+        evals = [problem.per_sample(i, theta, batch[i]) for i in range(m)]
+        jac = np.column_stack([grad_theta(ctx, g, l, eta[i]) for i, (l, g) in enumerate(evals)])
+        egr = np.array([grad_eta(ctx, l, eta[i]) for i, (l, _) in enumerate(evals)])
+        return [dual_value(ctx, l, eta[i]) for i, (l, _) in enumerate(evals)], jac, egr
+
+    def next_w(ja, ga, jb, gb):
+        gram = ja.T @ jb + np.diag(ga * gb)
+        return simplex_projection_oracle(w - cfg.beta * (gram @ w + cfg.rho * w))
+
+    losses, ja, ga = oracle(a)
+    _, jb, gb = oracle(b)
+    np.testing.assert_allclose(tr.losses[0], losses, rtol=1e-12, atol=0)
+    theta_next = recorder.thetas[1][0]
+    np.testing.assert_allclose(theta_next, theta - cfg.lr * (ja @ w), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(tr.eta[1], eta - cfg.lr * (ga * w), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(tr.w[1], next_w(ja, ga, jb, gb), rtol=1e-12, atol=0)
+    # modo's gram is A^T B, which a second read of A (mgda's A^T A) misses
+    if run is run_modo:
+        assert np.abs(tr.w[1] - next_w(ja, ga, ja, ga)).max() > 1e-9
 
 
 # --- constant-loss behavior of the double loop -------------------------------
