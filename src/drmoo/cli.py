@@ -175,8 +175,8 @@ def run_experiment(runs, echo=print) -> int:
     (one line on stderr). A worker that dies records each seed of its job,
     and of every job the broken pool could not finish, as
     error:BrokenProcessPool. Config trouble, a g = auto estimate that is not
-    positive and finite included, and problem-build I/O errors raise
-    ConfigError/OSError before any job starts. Returns the process
+    positive and finite included, and a problem build that fails on I/O or
+    overflows raise ConfigError before any job starts. Returns the process
     exit status: 0, or 1 when a job raised.
 
     The pool forks, so workers inherit the problems without pickling and see
@@ -187,17 +187,22 @@ def run_experiment(runs, echo=print) -> int:
     problems, estimates, blocks = {}, {}, []
     for cfg in runs:
         key = (cfg.problem, cfg.data_seed, cfg.wine_path, cfg.toy_std, cfg.toy_draws)
-        if key not in problems:
-            problems[key] = _build_problem(cfg)
-        problem = problems[key]
-        try:  # a g = auto estimate may vanish or overflow
-            if cfg.g == "auto" and key not in estimates:
-                estimates[key] = estimate_lipschitz(problem)
+        try:  # numpy raises, not warns; an estimate that overflows is an infinite G
+            with np.errstate(all="raise", under="ignore"):
+                if key not in problems:
+                    problems[key] = _build_problem(cfg)
+                if cfg.g == "auto" and key not in estimates:
+                    try:
+                        estimates[key] = estimate_lipschitz(problems[key])
+                    except FloatingPointError:
+                        estimates[key] = np.inf
             g = estimates[key] if cfg.g == "auto" else float(cfg.g)
-            ctx = DualContext(cfg.lam, g, problem.num_objectives)
+            ctx = DualContext(cfg.lam, g, problems[key].num_objectives)
+        except FloatingPointError as exc:
+            raise ConfigError(f"[run.{cfg.name}]: problem build: {exc}") from None
         except ValueError as exc:
             raise ConfigError(f"[run.{cfg.name}]: {exc}") from None
-        blocks.append((cfg, problem, ctx))
+        blocks.append((cfg, problems[key], ctx))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cpus = cpus or 1
     groups = -(-cpus // len(blocks))
@@ -249,7 +254,8 @@ def run_experiment(runs, echo=print) -> int:
                 finals.append(means[1])
                 samples.append(last)
             echo(f"{_trace_path(cfg, seed)}  [{status}]")
-        stats = (np.mean(inits), np.mean(finals), np.std(finals)) if finals else (np.nan,) * 3
+        with np.errstate(invalid="ignore"):  # the spread of an inf window is nan
+            stats = (np.mean(inits), np.mean(finals), np.std(finals)) if finals else (np.nan,) * 3
         row = [cfg.name, cfg.problem, cfg.solver, " ".join(str(s) for s in cfg.seeds),
                ";".join(bad) or "ok", *map(_fmt, stats), str(max(samples))]
         by_dir.setdefault(cfg.output_dir, []).append(",".join(row))

@@ -143,6 +143,14 @@ def grad_theta(ctx: DualContext, per_sample_grads, losses, eta_i: float) -> np.n
     return (wgt[:, None] * grads).mean(axis=0)
 
 
+def chi_weights(ctx: DualContext, losses, etas, out=None):
+    """(t + 2)_+ = 2 f*'(t), t = (l - eta)/lambda, of (..., r, B) losses; into out if given."""
+    u = np.subtract(losses, etas[..., None], out=out)
+    u /= ctx.lam
+    u += 2.0
+    return np.maximum(u, 0.0, out=u)
+
+
 def batch_oracle(ctx: DualContext, losses, slopes, rows, etas):
     """dual_value, grad_theta and grad_eta of every row of a batch: values
     (..., r), theta-gradients (..., n, r) and eta-gradients (..., r).
@@ -157,7 +165,7 @@ def batch_oracle(ctx: DualContext, losses, slopes, rows, etas):
     without (B, n) gradients.
     """
     b = losses.shape[-1]
-    u = np.maximum((losses - etas[..., None]) / ctx.lam + 2.0, 0.0)  # (t + 2)_+ = 2 w
+    u = chi_weights(ctx, losses, etas)  # (t + 2)_+ = 2 w
     values = ctx.lam * (0.25 * (u[..., None, :] @ u[..., :, None])[..., 0, 0] / b - 1.0) + etas
     theta_grads = ((u * slopes)[..., None, :] @ rows)[..., 0, :].swapaxes(-1, -2) * (0.5 / b)
     return values, theta_grads, 1.0 - 0.5 * u.sum(axis=-1) / b

@@ -18,8 +18,9 @@ from .dual import DualContext, ObjectiveJacobian, conjugate_value, exact_dual_mi
 from .dual import dual_value  # noqa: F401 (re-exported for the benchmark's tracer)
 from .problems import ToySpec, perturbation_ensemble, toy_objectives
 
-# element budget of robust_frontier's loss chunks and, for m > 2, the sort rule's comparisons
-CHUNK_ELEMENTS = 1 << 16
+# element budget of robust_frontier's loss chunks and, for m > 2, the sort rule's comparisons;
+# 64 KiB temporaries stay under glibc's mmap threshold, so the heap reuses them, not the OS
+CHUNK_ELEMENTS = 1 << 13
 
 
 def balanced_grad_norm(jac: ObjectiveJacobian, w) -> float:

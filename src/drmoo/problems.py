@@ -138,7 +138,7 @@ class MultiTaskProblem:
         are the gathered (..., k*m, B, n) rows, or for the full batch the
         stored (N, n) features themselves (no copy), which every objective
         shares. Sample j of row i has loss gradient slopes[..., i, j] times
-        its row; offsets shift losses, never slopes.
+        its row; offsets shift losses, never slopes. Both are fresh arrays.
         """
         x, y, off = self.features, self.labels, self.offsets
         if idx is not None:

@@ -43,10 +43,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dual import DualContext, ObjectiveJacobian, batch_oracle
+from .dual import DualContext, batch_oracle, chi_weights
 # benchmarks/spans.py wraps these names in this namespace
 from .dual import conjugate_deriv, dual_value, grad_eta, grad_theta  # noqa: F401
-from .metrics import surrogate_stationarity
+from .metrics import surrogate_stationarity  # noqa: F401
 from .simplex import project_simplex, uniform_preference
 
 # stream roles of the seed-splitting scheme
@@ -207,10 +207,9 @@ def _norms(x):
 
 
 def _clip(cap, threshold, norm):
-    """min(cap, threshold / norm) per entry, with x/0 = +inf (so a zero norm
-    gets the cap) and, as Python's min gives it, the cap for a nan norm."""
-    with np.errstate(divide="ignore"):
-        q = threshold / norm
+    """min(cap, threshold / norm) per entry, with x/0 = +inf in _mgda_loop (a zero
+    norm gets the cap) and, as Python's min gives it, the cap for a nan norm."""
+    q = threshold / norm
     return np.where(q < cap, q, cap)
 
 
@@ -219,25 +218,35 @@ def _matvec(a, v):
     return (a @ v[..., None])[..., 0]
 
 
-def inner_eta_descent(losses, eta, gamma, lam):
-    """Single-sample SGD eta <- eta - gamma*grad_eta, one loss (a float) per
-    step, in Python floats: the same arithmetic as conjugate_deriv without
-    its per-call cost. Returns the iterates entering each step and the last."""
-    traj = []
-    for loss in losses:
-        traj.append(eta)
-        eta -= gamma * (1.0 - 0.5 * max((loss - eta) / lam + 2.0, 0.0))
-    return traj, eta
+def inner_eta_descent(losses, etas, gamma, lam):
+    """Single-sample SGD eta <- eta - gamma*grad_eta from each etas[k], one step per loss
+    (a float) of losses[k], in Python floats (conjugate_deriv's arithmetic without its
+    per-call cost). Returns each lane's iterates entering its steps, and its last iterate."""
+    trajs, last = [], []
+    for lane, eta in zip(losses, etas):
+        trajs.append(traj := [])
+        for loss in lane:
+            traj.append(eta)
+            t = (loss - eta) / lam + 2.0
+            eta -= gamma * (1.0 - 0.5 * (0.0 if t < 0.0 else t))
+        last.append(eta)
+    return trajs, last
 
 
 def _full_surrogate(problem, ctx, theta, eta_eff, w) -> list:
-    """Full-batch stationarity surrogate of each seed at its (theta, eta_eff)
-    and w, from one evaluation and one oracle call for all seeds."""
-    _, cols, egr = batch_oracle(ctx, *problem.full_eval(theta), eta_eff)
-    return [surrogate_stationarity(ObjectiveJacobian(c, e), ws, ctx.lipschitz_g)
-            for c, e, ws in zip(cols, egr, w)]
+    """Full-batch G sum_i w^i |eta-grad_i| + ||sum_i w^i theta-grad_i|| of each
+    seed at its (theta, eta_eff) and w. One evaluation's fresh losses and slopes
+    become u and u o l' in place (the stored rows X never change), and the
+    theta-gradients are contracted with w first: one pass over X per seed."""
+    losses, slopes, rows = problem.full_eval(theta)
+    u = chi_weights(ctx, losses, eta_eff, out=losses)
+    slopes *= u
+    eta_grads = 1.0 - 0.5 * u.sum(axis=-1) / problem.num_samples
+    grad = ((w[:, None, :] @ slopes) @ rows)[:, 0] * (0.5 / problem.num_samples)
+    return (ctx.lipschitz_g * np.sum(w * np.abs(eta_grads), axis=1) + _norms(grad)).tolist()
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # only the finite check reports
 def _mgda_loop(cfg, problem, ctx: DualContext, per_step, step, diagnostics) -> list:
     """The outer iteration every solver shares, for each seed of cfg.seeds
     from theta = 0, eta = 0 and uniform w, for cfg.T steps that each consume
@@ -331,13 +340,9 @@ def run_double_loop(cfg: DoubleLoopConfig, problem, ctx: DualContext) -> list:
     def step(t, theta, eta, w):
         # (a) inner dual descent, one fresh sample per step per objective; the
         # final iterate warm-starts the next outer iteration
-        traj = np.empty((n_seeds, m, cfg.D))
-        eta_next = np.empty((n_seeds, m))
-        losses, warm = problem.sample_batch(theta, next(inner))[0].tolist(), eta.tolist()
-        for s in range(n_seeds):
-            for i in range(m):
-                traj[s, i], eta_next[s, i] = inner_eta_descent(
-                    losses[s][i], warm[s][i], cfg.gamma, ctx.lam)
+        losses = problem.sample_batch(theta, next(inner))[0].reshape(n_seeds * m, cfg.D)
+        traj, last = inner_eta_descent(losses.tolist(), eta.ravel().tolist(), cfg.gamma, ctx.lam)
+        traj, eta_next = np.reshape(traj, (n_seeds, m, cfg.D)), np.reshape(last, (n_seeds, m))
 
         # (b) trajectory indices, one triple per seed shared across objectives;
         # (c) the Y, Ybar and Ytilde batches at their dual scalars, as one
@@ -380,7 +385,7 @@ def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> list:
     def step(t, theta, eta, w):
         # eta block at eta_t: grad_eta of every objective, from the losses only
         z_losses = problem.sample_batch(theta, next(zbat))[0]
-        u = np.maximum((z_losses - (scale * eta)[..., None]) / ctx.lam + 2.0, 0.0)
+        u = chi_weights(ctx, z_losses, scale * eta, out=z_losses)
         z_vec = scale * (1.0 - np.mean(0.5 * u, axis=-1))
         zw = z_vec * w
         zw_norm = _norms(zw)

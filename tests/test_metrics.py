@@ -238,7 +238,7 @@ def test_robust_frontier_matches_bisection_and_brute_force():
 @pytest.mark.parametrize(
     "points, draws, budget",
     [
-        (401, 200, None),  # 802 rows of 200: three chunks under the default budget
+        (401, 200, None),  # 401 rows of 200 per objective: 40 a chunk, the 11th one row
         (41, 30, 100),  # three rows per chunk, the last one partial
         (41, 30, 16),  # a budget under one row: one row per chunk
     ],

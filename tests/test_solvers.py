@@ -26,8 +26,10 @@ from drmoo.problems import (
     LOSS_SQUARED,
     LinearSpec,
     MultiTaskProblem,
+    ToySpec,
     estimate_lipschitz,
     gen_linear,
+    toy_problem,
 )
 from drmoo.simplex import uniform_preference
 from drmoo.solvers import (
@@ -399,24 +401,28 @@ def _scalar_inner_loop(ctx, lvec, eta, gamma):
 
 @settings(deadline=None, max_examples=200)
 @given(
-    batches=st.lists(
-        st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=30), min_size=1, max_size=3
+    calls=st.lists(
+        st.lists(st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=30),
+                 min_size=6, max_size=6),
+        min_size=1, max_size=3,
     ),
-    eta=st.floats(-20.0, 20.0),
+    etas=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6),
     lam=st.floats(0.05, 10.0),
     gamma=st.floats(1e-4, 2.0),
 )
-def test_inner_eta_descent_matches_scalar_loop(batches, eta, lam, gamma):
-    # same arithmetic, so equality is exact, including across warm starts
+def test_inner_eta_descent_matches_scalar_loop(calls, etas, lam, gamma):
+    # one call steps every lane, each of its own length; same arithmetic, so
+    # equality is exact, including across warm starts
     ctx = DualContext(lam=lam, lipschitz_g=1.0, num_objectives=1)
-    ref_eta, got_eta = np.zeros(1), np.zeros(1)
-    ref_eta[0] = got_eta[0] = eta
-    for losses in batches:
-        lvec = np.array(losses)
-        ref_traj, ref_eta[0] = _scalar_inner_loop(ctx, lvec, ref_eta[0], gamma)
-        got_traj, got_eta[0] = inner_eta_descent(lvec.tolist(), float(got_eta[0]), gamma, lam)
-        assert np.array_equal(np.array(got_traj), ref_traj)
-        assert np.array_equal(got_eta, ref_eta)
+    ref_etas = np.array(etas)
+    for lanes in calls:
+        lanes = lanes[:len(etas)]
+        got_trajs, etas = inner_eta_descent(lanes, etas, gamma, lam)
+        assert len(got_trajs) == len(etas) == len(lanes)
+        for k, losses in enumerate(lanes):
+            ref_traj, ref_etas[k] = _scalar_inner_loop(ctx, np.array(losses), ref_etas[k], gamma)
+            assert np.array_equal(np.array(got_trajs[k]), ref_traj)
+        assert np.array_equal(np.array(etas), ref_etas)
 
 
 # --- full-batch stationarity surrogate ---------------------------------------
@@ -441,6 +447,40 @@ def test_full_surrogate_matches_reference(theta, eta, w):
     ref = surrogate_stationarity(ObjectiveJacobian(np.column_stack(cols), np.array(egr)), w, 3.0)
     got, = _full_surrogate(problem, ctx, theta[None], eta[None], w[None])
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12 * abs(ref))
+
+
+SURROGATE_PROBLEMS = {
+    "squared": _problem,
+    "logistic": lambda: _logistic(3),
+    "offset-toy": lambda: toy_problem(ToySpec(), num_draws=50, seed=2),
+}
+
+
+@pytest.mark.parametrize("kind", SURROGATE_PROBLEMS)
+def test_full_surrogate_seeds_match_reference_and_solo_calls(kind):
+    problem = SURROGATE_PROBLEMS[kind]()
+    m, n = problem.num_objectives, problem.dimension
+    ctx = DualContext(lam=0.7, lipschitz_g=3.0, num_objectives=m)
+    g = np.random.default_rng(5)
+    theta, eta, w = g.normal(0, 1, (3, n)), g.normal(1, 2, (3, m)), g.dirichlet(np.ones(m), 3)
+    stored = [a for a in (problem.features, problem.labels, problem.offsets) if a is not None]
+    before = [a.copy() for a in stored]
+    got = _full_surrogate(problem, ctx, theta, eta, w)
+    assert len(got) == 3
+    for s in range(3):
+        cols, egr = [], []
+        for i in range(m):
+            losses, grads = problem.per_sample(i, theta[s])
+            cols.append(grad_theta(ctx, grads, losses, eta[s, i]))
+            egr.append(grad_eta(ctx, losses, eta[s, i]))
+        jac = ObjectiveJacobian(np.column_stack(cols), np.array(egr))
+        assert got[s] == pytest.approx(surrogate_stationarity(jac, w[s], 3.0), rel=1e-12, abs=0)
+        # a seed's value does not depend on the seeds beside it
+        solo, = _full_surrogate(problem, ctx, theta[s:s + 1], eta[s:s + 1], w[s:s + 1])
+        assert solo == got[s]
+    # the evaluation's own arrays are overwritten, never the problem's
+    assert len(stored) == (3 if kind == "offset-toy" else 2)
+    assert all(np.array_equal(a, b) for a, b in zip(stored, before))
 
 
 # --- divergence --------------------------------------------------------------
@@ -480,7 +520,6 @@ def _assert_same_trace(got, want):
             assert _same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "run, cfg, make_problem",
     [
@@ -497,7 +536,6 @@ def _assert_same_trace(got, want):
          "double_loop-seeds", "double_clip-seeds", "mgda-seeds", "modo-seeds"],
 )
 def test_divergence_carries_partial_trace(run, cfg, make_problem):
-    # overflow warnings during the blow-up are the divergence mechanism itself
     problem, ctx = make_problem(), _ctx(_problem())
     traces = run(cfg, problem, ctx)
     assert len(traces) == len(cfg.seeds)
@@ -567,8 +605,8 @@ def test_one_oracle_call_per_step_for_all_seeds(run, make_cfg, monkeypatch):
     problem = _problem()
     cfg = make_cfg(seeds=(4, 1, 7))
     assert len(run(cfg, problem, _ctx(problem))) == 3
-    # one per step, plus the surrogate's one every SURROGATE_EVERY steps
-    assert len(shapes) == cfg.T + math.ceil(cfg.T / solvers.SURROGATE_EVERY)
+    # one per step; the surrogate contracts its own full evaluation
+    assert len(shapes) == cfg.T
     assert all(shape[0] == 3 for shape in shapes)
 
 
