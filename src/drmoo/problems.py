@@ -245,6 +245,33 @@ def quantile_threshold(values, s: float) -> float:
     return float(uniq[k])
 
 
+def _raise_wine_row_error(path, header):
+    """Raise the first fault in the wine CSV's data rows, with its line number:
+    the row-by-row csv and float() read, which load_wine_tasks runs only to say
+    where its one-pass read failed. Cells that float() takes but that read does
+    not ('1_0', non-ASCII digits) count as malformed."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh, delimiter=";"), start=1):
+            if lineno == 1 or not row:  # the header, or a blank line
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                if any("_" in v or not v.strip().isascii() for v in row):
+                    raise ValueError
+                vals = [float(v) for v in row]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed numeric row") from None
+            if not all(map(math.isfinite, vals)):
+                j = next(j for j, v in enumerate(vals) if not math.isfinite(v))
+                raise ValueError(
+                    f"{path}:{lineno}: non-finite value {row[j]!r} in column {header[j]!r}"
+                )
+    raise ValueError(f"{path}:2: no data rows")
+
+
 def load_wine_tasks(path) -> MultiTaskProblem:
     """Three binary tasks over the winequality-white CSV.
 
@@ -258,36 +285,23 @@ def load_wine_tasks(path) -> MultiTaskProblem:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"wine CSV not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=";")
+    with open(path, "r", encoding="utf-8-sig") as fh:  # \r and \r\n reach loadtxt as \n
         try:
-            header = [h.strip().strip('"') for h in next(reader)]
+            header = [h.strip().strip('"') for h in next(csv.reader(fh, delimiter=";"))]
         except StopIteration:
             raise ValueError(f"{path}:1: empty file") from None
         for name in WINE_THRESHOLDS:
             if name not in header:
                 raise ValueError(f"{path}:1: missing column {name!r}; file has {header}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed numeric row") from None
-            if not all(map(math.isfinite, vals)):
-                j = next(j for j, v in enumerate(vals) if not math.isfinite(v))
-                raise ValueError(
-                    f"{path}:{lineno}: non-finite value {row[j]!r} in column {header[j]!r}"
-                )
-            rows.append(vals)
-    if not rows:
-        raise ValueError(f"{path}:2: no data rows")
-    data = np.asarray(rows)  # (N, len(header))
+        lines = [line for line in fh if line != "\n"]
+    data = None
+    try:
+        if lines:  # loadtxt warns when there are none
+            data = np.loadtxt(lines, delimiter=";", quotechar='"', comments=None, ndmin=2)
+    except ValueError:
+        pass
+    if data is None or data.shape[1] != len(header) or not np.isfinite(data).all():
+        _raise_wine_row_error(path, header)
     col = {name: data[:, j] for j, name in enumerate(header)}
 
     labels = []

@@ -1,5 +1,6 @@
 """Problem instances: linear generator, wine loader, toy pair, sampling."""
 
+import csv
 import math
 import re
 import warnings
@@ -28,6 +29,7 @@ from drmoo.problems import (
     toy_objectives,
     toy_problem,
     WINE_COLUMNS,
+    WINE_THRESHOLDS,
 )
 
 from conftest import rng
@@ -394,6 +396,161 @@ def test_wine_loader_rejects_nonfinite_cells(tmp_path_factory, rows, data, cell)
     with pytest.raises(ValueError, match=rf"wine\.csv:{line}: non-finite value '{re.escape(cell)}' "
                                          rf"in column '{re.escape(WINE_COLUMNS[c])}'"):
         load_wine_tasks(path)
+
+
+def _reference_load_wine(path):
+    """The loader as it was before the one-pass numpy read: csv.reader and one
+    float() per cell. An oracle for load_wine_tasks that shares none of its
+    parsing."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=";")
+        try:
+            header = [h.strip().strip('"') for h in next(reader)]
+        except StopIteration:
+            raise ValueError(f"{path}:1: empty file") from None
+        for name in WINE_THRESHOLDS:
+            if name not in header:
+                raise ValueError(f"{path}:1: missing column {name!r}; file has {header}")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
+            try:
+                vals = [float(v) for v in row]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed numeric row") from None
+            if not all(map(math.isfinite, vals)):
+                j = next(j for j, v in enumerate(vals) if not math.isfinite(v))
+                raise ValueError(
+                    f"{path}:{lineno}: non-finite value {row[j]!r} in column {header[j]!r}"
+                )
+            rows.append(vals)
+    if not rows:
+        raise ValueError(f"{path}:2: no data rows")
+    data = np.asarray(rows)
+    col = {name: data[:, j] for j, name in enumerate(header)}
+    labels = []
+    for name, s in WINE_THRESHOLDS.items():
+        v = quantile_threshold(col[name], s)
+        labels.append((col[name] >= v).astype(float))
+    feature_names = [h for h in header if h not in WINE_THRESHOLDS]
+    feats = np.column_stack([col[h] for h in feature_names])
+    mu = feats.mean(axis=0)
+    sd = feats.std(axis=0)
+    sd[sd == 0.0] = 1.0
+    feats = (feats - mu) / sd
+    feats = np.column_stack([feats, np.ones(feats.shape[0])])
+    return feats, labels, {"feature_names": feature_names + ["bias"]}
+
+
+@st.composite
+def _wine_cell(draw):
+    """One finite value in one of the spellings a wine CSV may use."""
+    v = draw(st.floats(-500.0, 500.0, allow_nan=False, allow_infinity=False))
+    style = draw(st.sampled_from(["int", "fixed", "exp", "repr"]))
+    text = {"int": str(int(v)), "fixed": f"{v:.4f}", "exp": f"{v:.6e}", "repr": repr(v)}[style]
+    if not text.startswith("-") and draw(st.booleans()):
+        text = "+" + text
+    pad = st.sampled_from(["", " ", "\t", " \t "])
+    text = draw(pad) + text + draw(pad)
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+@st.composite
+def _wine_body(draw, min_rows=1):
+    """Data lines (each row with 0-2 blank lines before it) and a line ending."""
+    rows = draw(st.lists(st.lists(_wine_cell(), min_size=12, max_size=12),
+                         min_size=min_rows, max_size=6))
+    lines = []
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 2)) + [";".join(row)]
+    return lines, draw(st.sampled_from(["\n", "\r\n", "\r"]))
+
+
+def _write_wine_lines(tmp_path, lines, newline):
+    path = tmp_path / "wine.csv"
+    header = ";".join(f'"{c}"' for c in WINE_COLUMNS)
+    path.write_bytes(newline.join([header] + lines + [""]).encode("utf-8"))
+    return path
+
+
+@settings(max_examples=80, deadline=None)
+@given(body=_wine_body())
+def test_wine_loader_matches_the_csv_float_reference(tmp_path_factory, body):
+    path = _write_wine_lines(tmp_path_factory.mktemp("wine"), *body)
+    feats, labels, meta = _reference_load_wine(path)
+    p = load_wine_tasks(path)
+    assert np.array_equal(p.features, feats)
+    assert all(np.array_equal(a, b) for a, b in zip(p.labels, labels, strict=True))
+    assert p.meta == meta
+
+
+_BAD_LINES = {
+    "short row": "1;2;3",
+    "non-numeric cell": ";".join(["1"] * 11 + ["ten"]),
+    "empty cell": ";".join(["1"] * 5 + [""] + ["1"] * 6),
+    "trailing separator": ";".join(["1"] * 12) + ";",
+    "whitespace-only line": " \t ",
+    **{f"non-finite {c}": ";".join(["1"] * 7 + [c] + ["1"] * 4) for c in _NONFINITE_CELLS},
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(body=_wine_body(min_rows=0), data=st.data(), kind=st.sampled_from(sorted(_BAD_LINES)))
+def test_wine_loader_errors_match_the_reference(tmp_path_factory, body, data, kind):
+    lines, newline = body
+    at = data.draw(st.integers(0, len(lines)))
+    lines = lines[:at] + [_BAD_LINES[kind]] + lines[at:]
+    path = _write_wine_lines(tmp_path_factory.mktemp("wine"), lines, newline)
+    with pytest.raises(ValueError) as want:
+        _reference_load_wine(path)
+    assert str(want.value).startswith(f"{path}:{at + 2}: ")
+    with pytest.raises(ValueError) as got:
+        load_wine_tasks(path)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n\n\n", "\r\n\r\n"])
+def test_wine_loader_without_data_rows_raises_no_warning(tmp_path, body):
+    path = tmp_path / "wine.csv"
+    path.write_bytes((";".join(WINE_COLUMNS) + "\n" + body).encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            load_wine_tasks(path)
+    assert str(err.value) == f"{path}:2: no data rows"
+
+
+@pytest.mark.parametrize("cell", ["1_0", "\u0661"])
+def test_wine_loader_refuses_cells_only_float_reads(tmp_path, cell):
+    # float() reads digit-group underscores and non-ASCII digits; the
+    # one-pass read does not, so such a cell is malformed at its line
+    lines = [_wine_row(5), _wine_row(6).replace("10.0", cell, 1), _wine_row(7)]
+    path = _write_wine(tmp_path, lines)
+    _reference_load_wine(path)  # the old loader took it
+    with pytest.raises(ValueError) as err:
+        load_wine_tasks(path)
+    assert str(err.value) == f"{path}:3: malformed numeric row"
+
+
+def test_wine_loader_skips_a_byte_order_mark(tmp_path):
+    rows = [_wine_row(q, sugar=q, alcohol=q) for q in (3, 5, 6, 8)]
+    plain = load_wine_tasks(_write_wine(tmp_path, rows))
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "wine.csv").read_bytes())
+    p = load_wine_tasks(bom)
+    assert p.meta["feature_names"][0] == "fixed acidity"
+    assert p.meta == plain.meta and np.array_equal(p.features, plain.features)
+    # a BOM before a label column must not hide it: quality moved first
+    moved = [";".join(reversed(r.rsplit(";", 1))) for r in rows]
+    header = ";".join(("quality",) + WINE_COLUMNS[:-1])
+    bom.write_bytes(b"\xef\xbb\xbf" + _write_wine(tmp_path, moved, header).read_bytes())
+    q = load_wine_tasks(bom)
+    assert np.array_equal(q.labels[0], plain.labels[0])
 
 
 def test_synthesize_wine_csv_leaves_nothing_when_the_write_fails(tmp_path, monkeypatch):

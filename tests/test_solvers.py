@@ -35,6 +35,7 @@ from drmoo.simplex import uniform_preference
 from drmoo.solvers import (
     DRAW_CHUNK,
     ROLE_INDEX,
+    ROLE_INNER,
     ROLE_JOINT_A,
     ROLE_JOINT_B,
     ROLE_X,
@@ -339,6 +340,54 @@ def test_baseline_step_is_the_reference_oracle(run, roles):
     # modo's gram is A^T B, which a second read of A (mgda's A^T A) misses
     if run is run_modo:
         assert np.abs(tr.w[1] - next_w(ja, ga, ja, ga)).max() > 1e-9
+
+
+def test_double_loop_step_uses_the_unbiased_gram_estimator():
+    # two double_loop steps redone from dual.grad_eta, grad_theta and
+    # dual_value: the inner eta descent on single samples, then Y, Ybar and
+    # Ytilde column by column; the preference step must use Ybar^T Ytilde
+    problem = _problem()
+    recorder = _ThetaRecorder(problem)
+    ctx = _ctx(problem)
+    cfg = _dl_cfg(T=2, D=5, B=16, alpha=1e-2, beta=1e-3, seeds=(3,))
+    tr, = run_double_loop(cfg, recorder, ctx)
+    m, big_n = problem.num_objectives, problem.num_samples
+    inner = _index_steps(cfg.seeds, (ROLE_INNER,), m, big_n, cfg.D, cfg.T)
+    triples = _index_steps(cfg.seeds, (ROLE_INDEX,), 1, cfg.D, 3, cfg.T)
+    # the Y, Ybar and Ytilde stream keys, spelled out so that a swap of the
+    # role constants shows
+    batches = _index_steps(cfg.seeds, (1, 2, 3), m, big_n, cfg.B, cfg.T)
+    theta, eta, w = np.zeros(problem.dimension), np.zeros(m), uniform_preference(m)
+
+    def jacobian(idx, etas):
+        evals = [problem.per_sample(i, theta, idx[i]) for i in range(m)]
+        jac = np.column_stack([grad_theta(ctx, g, l, etas[i]) for i, (l, g) in enumerate(evals)])
+        return [dual_value(ctx, l, etas[i]) for i, (l, _) in enumerate(evals)], jac
+
+    for t in range(cfg.T):
+        inner_idx, = next(inner)
+        traj = np.zeros((m, cfg.D))
+        for i in range(m):
+            for k in range(cfg.D):
+                traj[i, k] = eta[i]
+                loss = problem.per_sample(i, theta, inner_idx[i, k:k + 1])[0]
+                eta[i] -= cfg.gamma * grad_eta(ctx, loss, eta[i])
+        (d, dbar, dtil), = next(triples)[0]
+        idx, = next(batches)
+        losses, y = jacobian(idx[:m], traj[:, d])
+        _, ybar = jacobian(idx[m:2 * m], traj[:, dbar])
+        _, ytil = jacobian(idx[2 * m:], traj[:, dtil])
+        np.testing.assert_allclose(tr.eta[t], traj[:, d], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(tr.losses[t], losses, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(recorder.thetas[2 * t][0], theta, rtol=1e-12, atol=0)
+        theta = theta - cfg.alpha * (y @ w)
+        if t + 1 < cfg.T:
+            unbiased = simplex_projection_oracle(w - cfg.beta * (ybar.T @ ytil @ w + cfg.rho * w))
+            np.testing.assert_allclose(tr.w[t + 1], unbiased, rtol=1e-12, atol=0)
+            # one batch on both sides (Ybar^T Ybar) gives a different step
+            biased = simplex_projection_oracle(w - cfg.beta * (ybar.T @ ybar @ w + cfg.rho * w))
+            assert np.abs(tr.w[t + 1] - biased).max() > 1e-9
+            w = unbiased
 
 
 # --- constant-loss behavior of the double loop -------------------------------
