@@ -2,9 +2,9 @@
 
 Subcommands:
     run <config>      execute every run block of a config file (a path or a
-                      packaged preset name) in worker processes, writing one
-                      trace CSV per (run, seed) and a summary CSV per output
-                      directory
+                      packaged preset name) in worker processes; the parent
+                      process writes one trace CSV per (run, seed) and a
+                      summary CSV per output directory
     gen-data <seed> <out.csv>   write the synthetic regression instance
     pareto-toy        nominal vs. robust frontier of the toy pair (CSV + SVG)
     check             numeric invariant suite; --self-test verifies the
@@ -18,10 +18,9 @@ Exit codes: 0 success, 1 config, argument or I/O error or a run that raised,
 import argparse
 import multiprocessing
 import os
-import signal
 import sys
 import traceback
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -49,7 +48,7 @@ from .problems import (
 )
 from .solvers import SOLVERS, samples_per_step
 from .svg import emit_svg_plot, emit_svg_scatter
-from .trace import _fmt, atomic_open, write_trace
+from .trace import _fmt, atomic_open, raise_not_utf8, write_trace
 
 _SOLVER_FNS = {name: run for name, (run, _) in SOLVERS.items()}
 
@@ -95,14 +94,6 @@ def _init_worker(blocks):
     _blocks = blocks
 
 
-class _Terminated(BaseException):
-    """SIGTERM arrived during a job in a worker process."""
-
-
-def _raise_terminated(signum, frame):
-    raise _Terminated
-
-
 def _trace_path(cfg, seed) -> Path:
     return Path(cfg.output_dir) / f"{cfg.name}_seed{seed}.csv"
 
@@ -113,31 +104,13 @@ def _failed(status, text, count):
 
 
 def _run_job(block, seeds):
-    """Run one (block, seed group) job in a worker and write its traces.
-
-    Returns, per seed of the group, (status, traceback text or "", window
-    means, final samples), with None for both when the group raised. A pool
-    that breaks SIGTERMs its workers; the handler unwinds the job through
-    atomic_open, which removes its temp file, and the worker then exits
-    without answering.
-    """
+    """Run one (block, seed group) job in a worker, writing nothing: the
+    group's traces, or (error:<type>, traceback text) if the solver raised."""
     cfg, problem, ctx = _blocks[block]
     try:
-        signal.signal(signal.SIGTERM, _raise_terminated)
-        try:
-            traces = _SOLVER_FNS[cfg.solver](build_solver_config(cfg, seeds), problem, ctx)
-        except Exception as exc:  # one failed job must not lose the others
-            return _failed(f"error:{type(exc).__name__}", traceback.format_exc(), len(seeds))
-        results = []
-        for seed, tr in zip(seeds, traces):
-            write_trace(tr, _trace_path(cfg, seed))
-            status = "ok" if tr.diverged_at is None else f"diverged@{tr.diverged_at}"
-            results.append((status, "", window_means(tr.balanced_grad), int(tr.samples[-1])))
-        return results
-    except _Terminated:
-        os._exit(1)
-    finally:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        return _SOLVER_FNS[cfg.solver](build_solver_config(cfg, seeds), problem, ctx)
+    except Exception as exc:  # one failed job must not lose the others
+        return f"error:{type(exc).__name__}", traceback.format_exc()
 
 
 def _submit(pool, job) -> Future:
@@ -161,23 +134,25 @@ def run_experiment(runs, echo=print) -> int:
     blocks than CPUs still keeps every CPU busy. The jobs run in a pool of
     forked worker processes, one per CPU this process may use (at most one
     per job), submitted in decreasing order of the samples they consume
-    (ties in config order), so no long job is left to start last. A job
-    writes one trace CSV per seed under the block's output_dir, whose
-    wall_ms is its group's clock; then one summary.csv per output_dir
-    aggregates the first/last-20-iteration balanced-gradient windows across
-    seeds. Results are read, echoed and summarized in config order, whatever
-    the start order, and every trace is the same as from running each seed
+    (ties in config order), so no long job is left to start last. Workers
+    only compute; this process writes every artifact. As each job finishes,
+    it writes one trace CSV per seed under the block's output_dir, whose
+    wall_ms is the group's clock, and keeps only each seed's status, window
+    means and final samples; then one summary.csv per output_dir aggregates
+    the first/last-20-iteration balanced-gradient windows across seeds.
+    Results are echoed and summarized in config order, whatever the start or
+    finish order, and every trace is the same as from running each seed
     alone. Solver divergence is recorded per seed in the summary status
     column (its partial trace still gets written) and does not fail the
-    invocation. Any other exception in a job goes to
-    stderr with its traceback and is recorded as error:<type> for each seed
-    of its group, and the other jobs still run; so is a failed trace write
-    (one line on stderr). A worker that dies records each seed of its job,
-    and of every job the broken pool could not finish, as
-    error:BrokenProcessPool. Config trouble, a g = auto estimate that is not
-    positive and finite included, and a problem build that fails on I/O or
-    overflows raise ConfigError before any job starts. Returns the process
-    exit status: 0, or 1 when a job raised.
+    invocation. Any other exception in a job goes to stderr with its
+    traceback and is recorded as error:<type> for each seed of its group,
+    and the other jobs still run; so is a failed trace write (one line on
+    stderr). A worker that dies records each seed of its job, and of every
+    job the broken pool could not finish, as error:BrokenProcessPool.
+    Config trouble, a g = auto estimate that is not positive and finite
+    included, and a problem build that fails on I/O or overflows raise
+    ConfigError before any job starts. Returns the process exit status: 0,
+    or 1 when a job raised.
 
     The pool forks, so workers inherit the problems without pickling and see
     the module state of the caller (a monkeypatched solver table, say); the
@@ -220,25 +195,34 @@ def run_experiment(runs, echo=print) -> int:
         initializer=_init_worker,
         initargs=(blocks,),
     )
+    done = {}  # job index -> per-seed (status, stderr text, window means, final samples)
     try:
         # largest first (a stable sort), so no long job is left to start last
         order = sorted(range(len(jobs)), key=lambda j: -sizes[j])
-        futures = {j: _submit(pool, jobs[j]) for j in order}
-        results = []
-        for j, (_, group) in enumerate(jobs):
+        futures = {_submit(pool, jobs[j]): j for j in order}
+        for fut in as_completed(futures):  # each job's traces are written as it ends
+            j = futures.pop(fut)  # so a job's traces live only this iteration
+            b, group = jobs[j]
             try:
-                results += futures[j].result()
-            except Exception as exc:  # a trace write failed or its worker died
+                out = fut.result()
+                if isinstance(out, tuple):  # the solver raised
+                    done[j] = _failed(*out, len(group))
+                    continue
+                for seed, tr in zip(group, out):
+                    write_trace(tr, _trace_path(blocks[b][0], seed))
+                done[j] = [("ok" if tr.diverged_at is None else f"diverged@{tr.diverged_at}", "",
+                            window_means(tr.balanced_grad), int(tr.samples[-1])) for tr in out]
+            except Exception as exc:  # a trace write failed or the job's worker died
                 # one line: a broken pool raises one exception object for every
                 # pending job, and its traceback grows with each raise
                 line = "".join(traceback.format_exception_only(exc))
-                results += _failed(f"error:{type(exc).__name__}", line, len(group))
+                done[j] = _failed(f"error:{type(exc).__name__}", line, len(group))
     finally:
         pool.shutdown(cancel_futures=True)
 
     by_dir = {}
     exit_status = 0
-    results = iter(results)  # in job order, which is config and seed order
+    results = (r for j in range(len(jobs)) for r in done[j])  # config and seed order
     for cfg, _, _ in blocks:
         inits, finals, samples, bad = [], [], [0], []
         for seed in cfg.seeds:
@@ -271,7 +255,13 @@ def run_experiment(runs, echo=print) -> int:
 def cmd_run(args) -> int:
     path = Path(args.config)
     if path.is_file():
-        text = path.read_text(encoding="utf-8")
+        try:
+            try:
+                text = path.read_text(encoding="utf-8-sig")
+            except UnicodeDecodeError:
+                raise_not_utf8(path)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     else:
         try:
             text = load_preset(args.config)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .trace import atomic_open
+from .trace import atomic_open, raise_not_utf8
 
 LOSS_SQUARED = "squared_error"
 LOSS_BCE = "binary_cross_entropy"
@@ -285,15 +285,18 @@ def load_wine_tasks(path) -> MultiTaskProblem:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"wine CSV not found: {path}")
-    with open(path, "r", encoding="utf-8-sig") as fh:  # \r and \r\n reach loadtxt as \n
-        try:
-            header = [h.strip().strip('"') for h in next(csv.reader(fh, delimiter=";"))]
-        except StopIteration:
-            raise ValueError(f"{path}:1: empty file") from None
-        for name in WINE_THRESHOLDS:
-            if name not in header:
-                raise ValueError(f"{path}:1: missing column {name!r}; file has {header}")
-        lines = [line for line in fh if line != "\n"]
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # \r and \r\n reach loadtxt as \n
+            try:
+                header = [h.strip().strip('"') for h in next(csv.reader(fh, delimiter=";"))]
+            except StopIteration:
+                raise ValueError(f"{path}:1: empty file") from None
+            for name in WINE_THRESHOLDS:
+                if name not in header:
+                    raise ValueError(f"{path}:1: missing column {name!r}; file has {header}")
+            lines = [line for line in fh if line != "\n"]
+    except UnicodeDecodeError:
+        raise_not_utf8(path)
     data = None
     try:
         if lines:  # loadtxt warns when there are none

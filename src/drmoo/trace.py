@@ -49,6 +49,20 @@ def atomic_open(path):
         raise
 
 
+def raise_not_utf8(path):
+    """Raise ValueError naming the line of path's first byte that is not UTF-8.
+
+    For use after a read of path raised UnicodeDecodeError, whose offset
+    counts from the chunk that failed to decode, not from the file's start.
+    Lines end as in a text-mode read: at \\n, \\r\\n or \\r."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        data = data[:exc.start]
+    raise ValueError(f"{path}:{len((data + b'.').splitlines())}: not valid UTF-8")
+
+
 def write_trace(trace, path) -> Path:
     """Write a solvers.RunTrace as CSV (schema above), numbering its rows
     0..T-1 in the iter column; returns the path.
@@ -60,30 +74,37 @@ def write_trace(trace, path) -> Path:
     row = "%d,%d" + ",%.17g" * (3 * m + 3) + "\n"
     reals = np.column_stack((trace.wall_ms, trace.losses, trace.balanced_grad,
                              trace.surrogate_stat, trace.w, trace.eta)).tolist()
-    body = "".join(row % (i, n, *r) for i, (n, r) in
-                   enumerate(zip(trace.samples.tolist(), reals)))
     with atomic_open(path) as fh:
-        fh.write(",".join(trace_header(m)) + "\n" + body)
+        fh.write(",".join(trace_header(m)) + "\n")
+        fh.writelines(row % (i, n, *r) for i, (n, r) in
+                      enumerate(zip(trace.samples.tolist(), reals)))
     return path
 
 
 def read_trace(path):
-    """Columns of a trace CSV as an ordered {name: array} dict."""
+    """Columns of a trace CSV as an ordered {name: array} dict.
+
+    The file is read as UTF-8; a leading byte-order mark is skipped."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "iter":
-            raise ValueError(f"{path}: not a trace CSV (header starts with {header[:1]})")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}"
-                )
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise_not_utf8(path)
+    header = lines[0].strip().split(",") if lines else [""]
+    if header[0] != "iter":
+        raise ValueError(f"{path}: not a trace CSV (header starts with {header[:1]})")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
+        try:
             rows.append([float(v) for v in parts])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed numeric row") from None
     data = np.asarray(rows) if rows else np.empty((0, len(header)))
     return {name: data[:, j] for j, name in enumerate(header)}

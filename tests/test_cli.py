@@ -17,7 +17,7 @@ from drmoo.dual import DualContext
 from drmoo.metrics import window_means
 from drmoo.problems import WINE_ENV, estimate_lipschitz, synthesize_wine_csv
 from drmoo.svg import HEIGHT, WIDTH, emit_svg_plot, emit_svg_scatter
-from drmoo.trace import atomic_open, read_trace, write_trace
+from drmoo.trace import read_trace, write_trace
 
 
 @pytest.fixture
@@ -311,17 +311,12 @@ def test_a_group_that_raises_marks_each_of_its_seeds(workdir, capsys, monkeypatc
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two concurrent workers")
-def test_run_survives_a_worker_that_dies_mid_write(workdir, capsys, monkeypatch):
-    marker = workdir / "writing"
+def test_run_survives_a_worker_that_dies_beside_a_running_job(workdir, capsys, monkeypatch):
+    marker = workdir / "computing"
 
-    def stalled_write(trace, path):
-        if Path(path).name != "slow_seed0.csv":
-            return write_trace(trace, path)
-        with atomic_open(path) as fh:
-            fh.write("iter,")
-            fh.flush()
-            marker.touch()
-            time.sleep(60)  # ended by the SIGTERM of the broken pool
+    def stalls(cfg, problem, ctx):
+        marker.touch()
+        time.sleep(60)  # ended by the SIGTERM of the broken pool
 
     def dies(cfg, problem, ctx):
         deadline = time.monotonic() + 60
@@ -329,11 +324,11 @@ def test_run_survives_a_worker_that_dies_mid_write(workdir, capsys, monkeypatch)
             time.sleep(0.005)
         os._exit(3)
 
-    monkeypatch.setattr(cli, "write_trace", stalled_write)
+    monkeypatch.setitem(cli._SOLVER_FNS, "modo", stalls)
     monkeypatch.setitem(cli._SOLVER_FNS, "mgda", dies)
     cfg = (
         "output_dir = out\n"
-        "[run.slow]\nproblem = toy\nsolver = double_clip\ntoy_draws = 40\nT = 6\nB = 8\n"
+        "[run.slow]\nproblem = toy\nsolver = modo\ntoy_draws = 40\nT = 6\nB = 8\n"
         "[run.dies]\nproblem = toy\nsolver = mgda\ntoy_draws = 40\nT = 6\nB = 8\n"
         + TOY_CFG.replace("output_dir = out\n", "")
     )
@@ -356,6 +351,29 @@ def test_run_survives_a_worker_that_dies_mid_write(workdir, capsys, monkeypatch)
     assert not (workdir / "out" / "slow_seed0.csv").exists()
     assert not (workdir / "out" / "dies_seed0.csv").exists()
     assert not [p for p in workdir.rglob("*") if p.name.endswith(".tmp")]
+
+
+def test_a_failed_trace_write_marks_its_block(workdir, capsys, monkeypatch):
+    def refuses(trace, path):
+        if Path(path).name.startswith("bad_"):
+            raise PermissionError(f"planted: cannot write {path}")
+        return write_trace(trace, path)
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})  # one job per block
+    monkeypatch.setattr(cli, "write_trace", refuses)
+    bad = "[run.bad]\nproblem = toy\nsolver = mgda\nseeds = 0,1\ntoy_draws = 40\nT = 6\nB = 8\n"
+    _write(workdir / "exp.cfg", TOY_CFG + bad)
+    assert cli.main(["run", "exp.cfg"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["PermissionError: planted: cannot write out/bad_seed0.csv"]
+    for seed in (0, 1):
+        assert f"out/bad_seed{seed}.csv  [error:PermissionError]" in captured.out
+        assert len(read_trace(workdir / "out" / f"t1_seed{seed}.csv")["iter"]) == 6
+    assert not list((workdir / "out").glob("bad_seed*.csv"))
+    rows = (workdir / "out" / "summary.csv").read_text().splitlines()[1:]
+    assert rows[0].split(",")[:5] == ["t1", "toy", "double_clip", "0 1", "ok"]
+    assert rows[1].split(",")[:5] == [
+        "bad", "toy", "mgda", "0 1", "seed0:error:PermissionError;seed1:error:PermissionError"]
 
 
 def test_run_records_jobs_queued_after_a_worker_died(workdir, capsys, monkeypatch):
@@ -400,6 +418,45 @@ def test_run_wine_without_dataset(workdir, capsys, monkeypatch):
     _write(workdir / "w.cfg", "[run.w]\nproblem = wine\nsolver = mgda\nT = 2\n")
     assert cli.main(["run", "w.cfg"]) == 1
     assert "wine dataset not found" in capsys.readouterr().err
+
+
+def _bad_byte_on_line(path, lineno):
+    """Put a Latin-1 degree sign, not UTF-8, inside line lineno of path."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = lines[lineno - 1][:2] + b"\xb0" + lines[lineno - 1][2:]
+    path.write_bytes(b"".join(lines))
+
+
+# each file is over 8 KiB with the bad byte past its first 8 KiB, except the
+# config, so the line comes from the byte's offset in the file, not the chunk
+@pytest.mark.parametrize("kind, lineno", [("config", 7), ("wine", 250), ("trace", 380)])
+def test_a_byte_that_is_not_utf8_fails_with_its_line(workdir, capsys, kind, lineno):
+    argv = ["run", "exp.cfg"]
+    if kind == "config":
+        bad = _write(workdir / "exp.cfg", TOY_CFG)
+    elif kind == "wine":
+        _write(workdir / "exp.cfg", "wine_path = w.csv\n[run.w]\nproblem = wine\nsolver = mgda\n")
+        bad = synthesize_wine_csv(workdir / "w.csv", rows=300)
+    else:
+        bad = _constant_trace(workdir / "t.csv", 1.0, rows=400)
+        argv = ["plot", "balanced_grad", "p.svg", "t.csv"]
+    assert bad.stat().st_size > 8192 or kind == "config"
+    _bad_byte_on_line(bad, lineno)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert f"{bad.name}:{lineno}: not valid UTF-8" in err
+    assert not (workdir / "out").exists() and not (workdir / "p.svg").exists()
+
+
+# the first line is a global key, or a section header
+@pytest.mark.parametrize("text", [TOY_CFG.lstrip(),
+                                  TOY_CFG.replace("output_dir = out\n", "").lstrip()])
+def test_run_skips_a_byte_order_mark(workdir, text):
+    (workdir / "exp.cfg").write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert cli.main(["run", "exp.cfg"]) == 0
+    outdir = "out" if "output_dir" in text else "runs"
+    assert len(read_trace(workdir / outdir / "t1_seed1.csv")["iter"]) == 6
 
 
 # --- gen-data ----------------------------------------------------------------

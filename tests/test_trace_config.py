@@ -19,7 +19,14 @@ from drmoo.solvers import (
     DoubleLoopConfig,
     RunTrace,
 )
-from drmoo.trace import _fmt, atomic_open, read_trace, trace_header, write_trace
+from drmoo.trace import (
+    _fmt,
+    atomic_open,
+    raise_not_utf8,
+    read_trace,
+    trace_header,
+    write_trace,
+)
 
 
 # --- trace CSV ---------------------------------------------------------------
@@ -145,6 +152,36 @@ def test_read_reports_short_row_with_line_number(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"t\.csv:3: expected 11 fields, got 5"):
         read_trace(path)
+
+
+def test_read_reports_a_non_numeric_cell_with_line_number(tmp_path):
+    path = write_trace(_toy_trace(rows=3, m=2), tmp_path / "t.csv")
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[1] = "x"
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"t\.csv:3: malformed numeric row$"):
+        read_trace(path)
+
+
+def test_read_skips_a_byte_order_mark(tmp_path):
+    path = write_trace(_toy_trace(), tmp_path / "t.csv")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    want, got = read_trace(path), read_trace(bom)
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_a_byte_that_is_not_utf8_is_reported_at_its_line(tmp_path, newline):
+    path = tmp_path / "t.csv"
+    path.write_bytes(newline.join([b"iter,samples", b"0,1", b"1,\xff2", b"2,3", b""]))
+    with pytest.raises(ValueError, match=r"t\.csv:3: not valid UTF-8$"):
+        read_trace(path)
+    with pytest.raises(ValueError, match=r"t\.csv:3: not valid UTF-8$"):
+        raise_not_utf8(path)
 
 
 def test_read_skips_blank_lines_and_handles_empty_body(tmp_path):
