@@ -13,6 +13,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 config, argument or I/O error or a run that raised,
 2 invariant check failure.
+
+main is the one error boundary: a ValueError (ConfigError is one) or OSError
+from any subcommand becomes one `error: ...` line and exit status 1, so the
+subcommands only raise. run_experiment prefixes a block's build failure with
+its `[run.NAME]:`.
 """
 
 import argparse
@@ -48,7 +53,7 @@ from .problems import (
 )
 from .solvers import SOLVERS, samples_per_step
 from .svg import emit_svg_plot, emit_svg_scatter
-from .trace import _fmt, atomic_open, raise_not_utf8, write_trace
+from .trace import _fmt, atomic_open, read_lines, write_trace
 
 _SOLVER_FNS = {name: run for name, (run, _) in SOLVERS.items()}
 
@@ -75,10 +80,7 @@ def _build_problem(cfg):
                 "wine dataset not found; set wine_path in the config, export "
                 f"{WINE_ENV}, or place the CSV at data/winequality-white.csv"
             )
-        try:
-            return load_wine_tasks(path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"wine dataset: {exc}") from exc
+        return load_wine_tasks(path)
     return toy_problem(
         ToySpec(perturbation_std=cfg.toy_std), num_draws=cfg.toy_draws, seed=cfg.data_seed
     )
@@ -150,9 +152,9 @@ def run_experiment(runs, echo=print) -> int:
     stderr). A worker that dies records each seed of its job, and of every
     job the broken pool could not finish, as error:BrokenProcessPool.
     Config trouble, a g = auto estimate that is not positive and finite
-    included, and a problem build that fails on I/O or overflows raise
-    ConfigError before any job starts. Returns the process exit status: 0,
-    or 1 when a job raised.
+    included, and a problem build that fails on bad input, I/O or overflow
+    raise ConfigError, prefixed with the block's [run.NAME], before any job
+    starts. Returns the process exit status: 0, or 1 when a job raised.
 
     The pool forks, so workers inherit the problems without pickling and see
     the module state of the caller (a monkeypatched solver table, say); the
@@ -175,7 +177,7 @@ def run_experiment(runs, echo=print) -> int:
             ctx = DualContext(cfg.lam, g, problems[key].num_objectives)
         except FloatingPointError as exc:
             raise ConfigError(f"[run.{cfg.name}]: problem build: {exc}") from None
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise ConfigError(f"[run.{cfg.name}]: {exc}") from None
         blocks.append((cfg, problems[key], ctx))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -255,13 +257,7 @@ def run_experiment(runs, echo=print) -> int:
 def cmd_run(args) -> int:
     path = Path(args.config)
     if path.is_file():
-        try:
-            try:
-                text = path.read_text(encoding="utf-8-sig")
-            except UnicodeDecodeError:
-                raise_not_utf8(path)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        text = "".join(read_lines(path))
     else:
         try:
             text = load_preset(args.config)
@@ -274,10 +270,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    try:
-        problem = gen_linear(LinearSpec(seed=args.seed))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    problem = gen_linear(LinearSpec(seed=args.seed))
     x, y = problem.features, problem.labels.T
     out = Path(args.out)
     header = [f"x{j + 1}" for j in range(x.shape[1])]
@@ -296,8 +289,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ConfigError(f"grid must look like lo:hi:count, got {text!r}") from None
-    if not np.isfinite((lo, hi)).all():
-        raise ConfigError(f"grid endpoints must be finite, got {text!r}")
+    if not np.isfinite((lo, hi, hi - lo)).all():
+        raise ConfigError(f"grid endpoints and their span must be finite, got {text!r}")
     if count < 1 or not lo < hi:
         raise ConfigError(f"grid needs lo < hi and count >= 1, got {text!r}")
     return np.linspace(lo, hi, count)
@@ -305,15 +298,12 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def cmd_pareto_toy(args) -> int:
     grid = _parse_grid(args.grid)
-    try:
-        nominal, robust = robust_frontier(
-            ToySpec(perturbation_std=args.std, grid=tuple(grid)),
-            num_draws=args.draws,
-            lam=args.lam,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    nominal, robust = robust_frontier(
+        ToySpec(perturbation_std=args.std, grid=tuple(grid)),
+        num_draws=args.draws,
+        lam=args.lam,
+        seed=args.seed,
+    )
     out_csv = Path(args.out_csv)
     body = "".join("%s,%.17g,%.17g,%.17g\n" % (tag, p.theta, *p.values)
                    for tag, pts in (("nominal", nominal), ("robust", robust)) for p in pts)
@@ -350,10 +340,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    try:
-        emit_svg_plot(args.traces, args.metric, args.out)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    emit_svg_plot(args.traces, args.metric, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -405,11 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """The one error boundary: a ValueError or OSError from parsing argv or
+    from any subcommand prints `error: <message>` and returns 1."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .trace import atomic_open, raise_not_utf8
+from .trace import atomic_open, read_lines
 
 LOSS_SQUARED = "squared_error"
 LOSS_BCE = "binary_cross_entropy"
@@ -177,20 +177,23 @@ def estimate_lipschitz(problem: MultiTaskProblem, theta=None) -> float:
 # synthetic multi-task linear regression
 
 
+# gen_linear's task laws (see LinearSpec)
+ANCHOR_SCALES = (-0.2, 0.5)
+ANCHOR_STDS = (0.2, 0.5)
+NOISE_STDS = (0.2, 0.6, 0.5)
+
+
 @dataclass(frozen=True)
 class LinearSpec:
     """Three linear tasks with correlated ground-truth parameters.
 
     Task anchors: theta1* ~ N(0, I); theta2* and theta3* are drawn around
-    anchor_scales[k] * theta1* with componentwise std anchor_stds[k]. Labels
-    are y^i = X theta^{i,*} + eps^i with noise std noise_stds[i].
+    ANCHOR_SCALES[k] * theta1* with componentwise std ANCHOR_STDS[k]. Labels
+    are y^i = X theta^{i,*} + eps^i with noise std NOISE_STDS[i].
     """
 
     dimension: int = 10
     samples: int = 6000
-    anchor_scales: tuple = (-0.2, 0.5)
-    anchor_stds: tuple = (0.2, 0.5)
-    noise_stds: tuple = (0.2, 0.6, 0.5)
     seed: int = 0
 
     def __post_init__(self):
@@ -198,12 +201,6 @@ class LinearSpec:
             raise ValueError("dimension and samples must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if len(self.anchor_scales) != 2 or len(self.anchor_stds) != 2:
-            raise ValueError("anchor laws are given for tasks 2 and 3 only")
-        if len(self.noise_stds) != 3:
-            raise ValueError("need one noise std per task")
-        if any(s < 0 for s in self.anchor_stds) or any(s < 0 for s in self.noise_stds):
-            raise ValueError("stds must be nonnegative")
 
 
 def gen_linear(spec: LinearSpec) -> MultiTaskProblem:
@@ -217,12 +214,10 @@ def gen_linear(spec: LinearSpec) -> MultiTaskProblem:
     n, big_n = spec.dimension, spec.samples
     x = rng.standard_normal((big_n, n))
     t1 = rng.standard_normal(n)
-    t2 = spec.anchor_scales[0] * t1 + spec.anchor_stds[0] * rng.standard_normal(n)
-    t3 = spec.anchor_scales[1] * t1 + spec.anchor_stds[1] * rng.standard_normal(n)
+    t2 = ANCHOR_SCALES[0] * t1 + ANCHOR_STDS[0] * rng.standard_normal(n)
+    t3 = ANCHOR_SCALES[1] * t1 + ANCHOR_STDS[1] * rng.standard_normal(n)
     anchors = np.stack([t1, t2, t3])
-    labels = [
-        x @ anchors[i] + spec.noise_stds[i] * rng.standard_normal(big_n) for i in range(3)
-    ]
+    labels = [x @ anchors[i] + NOISE_STDS[i] * rng.standard_normal(big_n) for i in range(3)]
     return MultiTaskProblem(x, labels, LOSS_SQUARED, meta={"true_params": anchors, "spec": spec})
 
 
@@ -285,18 +280,14 @@ def load_wine_tasks(path) -> MultiTaskProblem:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"wine CSV not found: {path}")
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:  # \r and \r\n reach loadtxt as \n
-            try:
-                header = [h.strip().strip('"') for h in next(csv.reader(fh, delimiter=";"))]
-            except StopIteration:
-                raise ValueError(f"{path}:1: empty file") from None
-            for name in WINE_THRESHOLDS:
-                if name not in header:
-                    raise ValueError(f"{path}:1: missing column {name!r}; file has {header}")
-            lines = [line for line in fh if line != "\n"]
-    except UnicodeDecodeError:
-        raise_not_utf8(path)
+    lines = read_lines(path)  # \r and \r\n reach loadtxt as \n
+    if not lines:
+        raise ValueError(f"{path}:1: empty file")
+    header = [h.strip().strip('"') for h in next(csv.reader(lines[:1], delimiter=";"))]
+    for name in WINE_THRESHOLDS:
+        if name not in header:
+            raise ValueError(f"{path}:1: missing column {name!r}; file has {header}")
+    lines = [line for line in lines[1:] if line != "\n"]
     data = None
     try:
         if lines:  # loadtxt warns when there are none

@@ -5,7 +5,8 @@ surrogate_stat,w_1..w_m,eta_1..eta_m. Reals are written with 17 significant
 digits so a read-write round trip is exact in double precision.
 
 Every artifact the package writes goes through atomic_open, so a file on
-disk is either complete or absent.
+disk is either complete or absent, and every text file it reads (config,
+trace, wine CSV) goes through read_lines.
 """
 
 import os
@@ -49,13 +50,16 @@ def atomic_open(path):
         raise
 
 
-def raise_not_utf8(path):
-    """Raise ValueError naming the line of path's first byte that is not UTF-8.
-
-    For use after a read of path raised UnicodeDecodeError, whose offset
-    counts from the chunk that failed to decode, not from the file's start.
-    Lines end as in a text-mode read: at \\n, \\r\\n or \\r."""
-    data = Path(path).read_bytes()
+def read_lines(path):
+    """readlines() of path decoded as UTF-8, a leading byte-order mark
+    skipped. A byte that is not UTF-8 raises ValueError naming its line,
+    counted from the file's start (the decode error's offset counts from the
+    failed chunk) with text-mode line ends: \\n, \\r\\n or \\r."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -82,15 +86,9 @@ def write_trace(trace, path) -> Path:
 
 
 def read_trace(path):
-    """Columns of a trace CSV as an ordered {name: array} dict.
-
-    The file is read as UTF-8; a leading byte-order mark is skipped."""
+    """Columns of a trace CSV, read by read_lines, as an ordered {name: array} dict."""
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError:
-        raise_not_utf8(path)
+    lines = read_lines(path)
     header = lines[0].strip().split(",") if lines else [""]
     if header[0] != "iter":
         raise ValueError(f"{path}: not a trace CSV (header starts with {header[:1]})")

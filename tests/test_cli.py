@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drmoo import cli
+from drmoo import checks, cli
 from drmoo.checks import CheckResult
 from drmoo.config import build_solver_config, parse_config
 from drmoo.dual import DualContext
@@ -651,6 +651,8 @@ def test_svg_scatter_counts_and_errors(tmp_path):
         ["gen-data", "-1", "out.csv"],
         ["pareto-toy", "--grid=0:inf:3"],
         ["pareto-toy", "--grid=-inf:0:3"],
+        ["pareto-toy", "--grid=-1e308:1e308:5"],  # finite endpoints, infinite span
+        ["pareto-toy", "--grid=0:1:100000000000000000000"],  # more points than numpy indexes
     ],
 )
 def test_bad_arguments_exit_1_with_one_error_line(workdir, capsys, recwarn, argv):
@@ -660,6 +662,43 @@ def test_bad_arguments_exit_1_with_one_error_line(workdir, capsys, recwarn, argv
     assert [str(w.message) for w in recwarn] == []  # no warning printed beside it
     assert "Traceback" not in err
     assert list(workdir.iterdir()) == []  # no CSV, no SVG, no temp file
+
+
+def _planted(exc):
+    def raise_planted(*args, **kwargs):
+        raise exc("planted")
+    return raise_planted
+
+
+# each subcommand's library call raises; main alone turns it into one line
+@pytest.mark.parametrize("exc", [ValueError, OSError])
+@pytest.mark.parametrize(
+    "argv, namespace, attr",
+    [
+        (["run", "linear_e1_all"], cli, "parse_config"),
+        (["gen-data", "0", "d.csv"], cli, "gen_linear"),
+        (["pareto-toy"], cli, "robust_frontier"),
+        (["plot", "balanced_grad", "p.svg", "t.csv"], cli, "emit_svg_plot"),
+        (["check"], checks, "run_checks"),
+    ],
+)
+def test_every_subcommand_reports_an_error_in_one_line(workdir, capsys, monkeypatch,
+                                                       argv, namespace, attr, exc):
+    monkeypatch.setattr(namespace, attr, _planted(exc))
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: planted\n"
+    assert "Traceback" not in out
+    assert list(workdir.iterdir()) == []  # no trace, summary, CSV or SVG
+
+
+def test_run_reports_an_unreadable_wine_file_under_its_block(workdir, capsys):
+    (workdir / "w.csv").mkdir()
+    _write(workdir / "exp.cfg", "wine_path = w.csv\n[run.w]\nproblem = wine\nsolver = mgda\n")
+    assert cli.main(["run", "exp.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: \[run\.w\]: \[Errno \d+\] Is a directory: 'w\.csv'\n", err)
+    assert sorted(workdir.iterdir()) == [workdir / "exp.cfg", workdir / "w.csv"]
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from drmoo.solvers import (
 from drmoo.trace import (
     _fmt,
     atomic_open,
-    raise_not_utf8,
+    read_lines,
     read_trace,
     trace_header,
     write_trace,
@@ -181,7 +181,7 @@ def test_a_byte_that_is_not_utf8_is_reported_at_its_line(tmp_path, newline):
     with pytest.raises(ValueError, match=r"t\.csv:3: not valid UTF-8$"):
         read_trace(path)
     with pytest.raises(ValueError, match=r"t\.csv:3: not valid UTF-8$"):
-        raise_not_utf8(path)
+        read_lines(path)
 
 
 def test_read_skips_blank_lines_and_handles_empty_body(tmp_path):
