@@ -36,23 +36,20 @@ def main():
     )
 
     print(f"std={args.std} draws={args.draws} lambda={args.lam}")
-    print(f"nominal frontier: {len(nominal)} points, "
-          f"theta in [{nominal[0].theta:.2f}, {nominal[-1].theta:.2f}]")
-    print(f"robust frontier:  {len(robust)} points, "
-          f"theta in [{robust[0].theta:.2f}, {robust[-1].theta:.2f}]")
+    for name, (theta, _) in (("nominal", nominal), ("robust", robust)):
+        print(f"{name + ' frontier:':17} {len(theta)} points, "
+              f"theta in [{theta[0]:.2f}, {theta[-1]:.2f}]")
 
     print("\n  theta   nominal (f1, f2)      robust (f1, f2)")
-    nom_by_theta = {p.theta: p.values for p in nominal}
-    for p in robust[:: max(1, len(robust) // 8)]:
-        nv = nom_by_theta.get(p.theta)
+    nom_by_theta = dict(zip(nominal[0].tolist(), nominal[1].tolist()))
+    theta, values = robust
+    step = max(1, len(theta) // 8)
+    for t, (f1, f2) in zip(theta[::step].tolist(), values[::step].tolist()):
+        nv = nom_by_theta.get(t)
         left = f"({nv[0]:6.3f}, {nv[1]:6.3f})" if nv else "   (dominated)   "
-        print(f"  {p.theta:5.2f}   {left}    ({p.values[0]:6.3f}, {p.values[1]:6.3f})")
+        print(f"  {t:5.2f}   {left}    ({f1:6.3f}, {f2:6.3f})")
 
-    emit_svg_scatter(
-        [[p.values for p in nominal], [p.values for p in robust]],
-        ["nominal", "robust"],
-        args.out,
-    )
+    emit_svg_scatter([nominal[1], robust[1]], ["nominal", "robust"], args.out)
     print(f"\nwrote {args.out}")
 
 

@@ -31,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checks
 from .config import (
     ConfigError,
     build_solver_config,
@@ -298,27 +297,29 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def cmd_pareto_toy(args) -> int:
     grid = _parse_grid(args.grid)
-    nominal, robust = robust_frontier(
+    frontiers = robust_frontier(
         ToySpec(perturbation_std=args.std, grid=tuple(grid)),
         num_draws=args.draws,
         lam=args.lam,
         seed=args.seed,
     )
+    tags = ("nominal", "robust")
     out_csv = Path(args.out_csv)
-    body = "".join("%s,%.17g,%.17g,%.17g\n" % (tag, p.theta, *p.values)
-                   for tag, pts in (("nominal", nominal), ("robust", robust)) for p in pts)
+    body = "".join(f"{tag},%.17g,%.17g,%.17g\n" % (t, f1, f2)
+                   for tag, (theta, values) in zip(tags, frontiers)
+                   for t, (f1, f2) in zip(theta.tolist(), values.tolist()))
     with atomic_open(out_csv) as fh:
         fh.write("frontier,theta,f1,f2\n" + body)
-    emit_svg_scatter([[p.values for p in nominal], [p.values for p in robust]],
-                     ["nominal", "robust"], args.out_svg)
-    print(
-        f"nominal frontier {len(nominal)} points, robust {len(robust)}; "
-        f"wrote {out_csv} and {args.out_svg}"
-    )
+    emit_svg_scatter([values for _, values in frontiers], tags, args.out_svg)
+    nominal, robust = (len(theta) for theta, _ in frontiers)
+    print(f"nominal frontier {nominal} points, robust {robust}; "
+          f"wrote {out_csv} and {args.out_svg}")
     return 0
 
 
 def cmd_check(args) -> int:
+    from . import checks  # imported here: no other subcommand pays for compiling it
+
     if args.self_test:
         # a deliberately sign-flipped eta gradient must trip the FD check
         def flipped(ctx, losses, eta):

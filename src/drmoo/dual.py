@@ -222,12 +222,13 @@ def exact_dual_min(ctx: DualContext, losses):
     """
     losses = _as_batch(losses, block=True)
     u = np.sort(np.atleast_2d(losses), axis=1)[:, ::-1]
-    top = u[:, :1]
+    top = u[:, 0]
+    gap = u - top[:, None]
     b = u.shape[1]
     k = np.arange(1, b + 1)
-    eta = np.cumsum(u - top, axis=1) / k + 2.0 * ctx.lam * (1.0 - b / k)
-    last = b - 1 - np.argmax((u - top > eta - 2.0 * ctx.lam)[:, ::-1], axis=1)
-    eta_star = top[:, 0] + eta[np.arange(len(u)), last]
+    eta = np.cumsum(gap, axis=1) / k + 2.0 * ctx.lam * (1.0 - b / k)
+    last = b - 1 - np.argmax((gap > eta - 2.0 * ctx.lam)[:, ::-1], axis=1)
+    eta_star = top + eta[np.arange(len(u)), last]
     return float(eta_star[0]) if losses.ndim == 1 else eta_star
 
 

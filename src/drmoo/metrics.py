@@ -16,7 +16,8 @@ import numpy as np
 
 from .dual import DualContext, ObjectiveJacobian, conjugate_value, exact_dual_min
 from .dual import dual_value  # noqa: F401 (re-exported for the benchmark's tracer)
-from .problems import ToySpec, perturbation_ensemble, toy_objectives
+from .problems import ToySpec, perturbation_draws, toy_objectives
+from .problems import perturbation_ensemble  # noqa: F401 (re-exported for the benchmark's tracer)
 
 # element budget of robust_frontier's loss chunks and, for m > 2, the sort rule's comparisons;
 # 64 KiB temporaries stay under glibc's mmap threshold, so the heap reuses them, not the OS
@@ -115,37 +116,36 @@ def robust_frontier(spec: ToySpec, num_draws: int = 200, lam: float = 1.0, seed:
     For every theta on the grid, the nominal values come straight from
     toy_objectives; the robust value of objective i treats the i-th
     objective's evaluations under the perturbation ensemble (scale
-    spec.perturbation_std) as the loss samples of the dual objective and
-    minimizes the dual scalar out exactly, in row chunks of each objective's
-    (k, num_draws) losses on a k-point grid (toy_objectives' arithmetic); a
-    value is dual_value's arithmetic as a row mean, equal to dual_value on
-    that row bit for bit. Only the columns of the two (2, k) clouds that
-    pareto_filter's rule keeps become FrontierPoints. An overflow raises a
-    ValueError naming the std.
+    spec.perturbation_std, drawn by perturbation_draws) as the loss samples
+    of the dual objective and minimizes the dual scalar out exactly, in row
+    chunks of each objective's (k, num_draws) losses on a k-point grid
+    (toy_objectives' arithmetic); a value is dual_value's arithmetic as a row
+    mean, equal to dual_value on that row bit for bit. Only the grid points
+    of the two (k, 2) value clouds that pareto_filter's rule keeps are
+    returned. An overflow raises a ValueError naming the std.
 
-    Returns (nominal_frontier, robust_frontier) as FrontierPoint lists. With
-    perturbation_std=0 the ensemble is a point mass, the dual of a constant
-    sample set is that constant, and the two frontiers coincide.
+    Returns (nominal_frontier, robust_frontier), each a pair of arrays
+    (theta (j,), values (j, 2)) in grid order. With perturbation_std=0 the
+    ensemble is a point mass, the dual of a constant sample set is that
+    constant, and the two frontiers coincide.
     """
     grid = np.asarray(spec.grid, dtype=float)
     ctx = DualContext(lam=lam, lipschitz_g=1.0, num_objectives=2)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            shifts = np.array([(s.x1, s.b1, s.x2, s.b2)  # (4, num_draws)
-                               for s in perturbation_ensemble(spec, num_draws, seed)]).T
-            clouds = (np.stack(toy_objectives(spec, grid)), np.empty((2, grid.size)))
+            shifts = perturbation_draws(spec, num_draws, seed).T.copy()  # x1, b1, x2, b2
+            clouds = (np.stack(toy_objectives(spec, grid), axis=1), np.empty((grid.size, 2)))
             for i, (x, b) in enumerate((shifts[:2], shifts[2:])):
                 for rows in _row_chunks(grid.size, num_draws):
                     losses = np.square(grid[rows, None] - x) + b
                     eta = exact_dual_min(ctx, losses)
                     t = (losses - eta[:, None]) / ctx.lam
-                    clouds[1][i, rows] = ctx.lam * np.mean(conjugate_value(t), axis=1) + eta
+                    clouds[1][rows, i] = ctx.lam * np.mean(conjugate_value(t), axis=1) + eta
     except FloatingPointError:
         raise ValueError(f"toy losses overflow at perturbation std {spec.perturbation_std} "
                          f"on grid [{grid.min()}, {grid.max()}]") from None
-    kept = [_pareto_keep(c.T) for c in clouds]
-    return tuple([FrontierPoint(t, tuple(v)) for t, v in zip(grid[j].tolist(), c[:, j].T.tolist())]
-                 for c, j in zip(clouds, kept))
+    kept = [_pareto_keep(c) for c in clouds]
+    return tuple((grid[j], c[j]) for c, j in zip(clouds, kept))
 
 
 def window_means(values):

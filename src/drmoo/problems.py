@@ -429,11 +429,25 @@ def perturb_toy(spec: ToySpec, seed: int) -> ToySpec:
 
 
 def perturbation_ensemble(spec: ToySpec, num_draws: int, seed: int):
-    """num_draws independently perturbed copies of spec, deterministic."""
+    """num_draws independently perturbed copies of spec, deterministic; the
+    reference for perturbation_draws."""
     if num_draws < 1:
         raise ValueError(f"need at least one draw, got {num_draws}")
     child = np.random.SeedSequence(seed).generate_state(num_draws, dtype=np.uint64)
     return [perturb_toy(spec, int(s)) for s in child]
+
+
+def perturbation_draws(spec: ToySpec, num_draws: int, seed: int) -> np.ndarray:
+    """The constants of perturbation_ensemble(spec, num_draws, seed) as a
+    (num_draws, 4) array of rows (x1, b1, x2, b2), bit for bit: one PCG64
+    stream per draw, seeded and shifted as perturb_toy does, and no ToySpec."""
+    if num_draws < 1:
+        raise ValueError(f"need at least one draw, got {num_draws}")
+    child = np.random.SeedSequence(seed).generate_state(num_draws, dtype=np.uint64).tolist()
+    gen, bits = np.random.Generator, np.random.PCG64  # PCG64(s) seeds from SeedSequence(s)
+    shifts = np.array([gen(bits(s)).standard_normal(4) for s in child])  # dx1, dx2, db1, db2
+    base = np.array([spec.x1, spec.b1, spec.x2, spec.b2])
+    return base + spec.perturbation_std * shifts[:, [0, 2, 1, 3]]
 
 
 def toy_problem(spec: ToySpec, num_draws: int = 200, seed: int = 0) -> MultiTaskProblem:
@@ -443,9 +457,8 @@ def toy_problem(spec: ToySpec, num_draws: int = 200, seed: int = 0) -> MultiTask
     objective 1 has loss (theta - x1_j)^2 + b1_j, which is squared error
     with unit feature, label x1_j, and additive offset b1_j.
     """
-    specs = perturbation_ensemble(spec, num_draws, seed)
-    labels = [[s.x1 for s in specs], [s.x2 for s in specs]]
-    offsets = [[s.b1 for s in specs], [s.b2 for s in specs]]
+    draws = perturbation_draws(spec, num_draws, seed).T  # rows x1, b1, x2, b2
     return MultiTaskProblem(
-        np.ones((num_draws, 1)), labels, LOSS_SQUARED, offsets=offsets, meta={"spec": spec}
+        np.ones((num_draws, 1)), draws[[0, 2]], LOSS_SQUARED, offsets=draws[[1, 3]],
+        meta={"spec": spec},
     )

@@ -10,6 +10,8 @@ at the top of the axis, so every coordinate is a finite point on the canvas.
 import math
 from pathlib import Path
 
+import numpy as np
+
 from .trace import atomic_open, read_trace
 
 WIDTH, HEIGHT = 640, 420
@@ -104,15 +106,18 @@ def emit_svg_plot(trace_paths, metric: str, out_path) -> Path:
 
 
 def emit_svg_scatter(point_sets, labels, out_path) -> Path:
-    """Linear-axes scatter of labelled (f1, f2) point sets (frontier views)."""
+    """Linear-axes scatter of labelled (f1, f2) point sets (frontier views).
+
+    A point set is a (k, 2) array or a sequence of (f1, f2) pairs; the
+    circles' coordinates are computed for a whole set at once, with the
+    arithmetic of the axis ticks."""
     if not point_sets or len(point_sets) != len(labels):
         raise ValueError("need matching nonempty point sets and labels")
-    allx = [x for pts in point_sets for x, _ in pts]
-    ally = [y for pts in point_sets for _, y in pts]
-    if not allx:
+    point_sets = [np.asarray(pts, dtype=float).reshape(len(pts), 2) for pts in point_sets]
+    allp = np.concatenate(point_sets)
+    if not len(allp):
         raise ValueError("no points")
-    xlo, xhi = min(allx), max(allx)
-    ylo, yhi = min(ally), max(ally)
+    (xlo, ylo), (xhi, yhi) = allp.min(axis=0).tolist(), allp.max(axis=0).tolist()
     xpad = (xhi - xlo or 1.0) * 0.05
     ypad = (yhi - ylo or 1.0) * 0.05
     xlo, xhi = xlo - xpad, xhi + xpad
@@ -137,8 +142,8 @@ def emit_svg_scatter(point_sets, labels, out_path) -> Path:
 
     for k, (pts, label) in enumerate(zip(point_sets, labels)):
         color = PALETTE[k % len(PALETTE)]
-        for x, y in pts:
-            parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" fill="{color}"/>')
+        circle = f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{color}"/>'
+        parts.extend(circle % c for c in zip(sx(pts[:, 0]).tolist(), sy(pts[:, 1]).tolist()))
         ly = y1 + 14 + 16 * k
         parts.append(f'<circle cx="{x1 - 144}" cy="{ly}" r="3" fill="{color}"/>')
         parts.append(f'<text x="{x1 - 134}" y="{ly + 4}">{label}</text>')

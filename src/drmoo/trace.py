@@ -36,9 +36,12 @@ def atomic_open(path):
 
     The temp file replaces path only when the block exits normally; if the
     block raises, the temp file is removed and path is left untouched.
-    Missing parent directories are created.
+    Missing parent directories are created. A path that names a directory
+    ('/', '.', an existing directory) raises IsADirectoryError naming it.
     """
     path = Path(path)
+    if path.name in ("", "..") or path.is_dir():
+        raise IsADirectoryError(f"output path {str(path)!r} is a directory")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -397,11 +397,10 @@ def test_criterion_10_pareto_and_toy_frontier():
         # membership by theta, values to within tol: the closed-form dual
         # minimizer gives a constant sample set back exactly, but the
         # criterion asks only for agreement to rounding, not bitwise
-        if [p.theta for p in nom] != [p.theta for p in rob]:
+        (nom_theta, nom_values), (rob_theta, rob_values) = nom, rob
+        if not np.array_equal(nom_theta, rob_theta):
             return False
-        return all(
-            abs(a - b) <= tol for p, q in zip(nom, rob) for a, b in zip(p.values, q.values)
-        )
+        return bool((np.abs(nom_values - rob_values) <= tol).all())
 
     grid = np.linspace(-1.0, 3.0, 81)
     nom0, rob0 = robust_frontier(

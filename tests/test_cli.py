@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, wait
@@ -545,6 +547,17 @@ def test_check_self_test_catches_planted_bug(capsys):
     assert "self-test ok" in capsys.readouterr().out
 
 
+def test_importing_the_cli_leaves_the_check_suite_out():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, drmoo.cli; print('drmoo.checks' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 # --- plot --------------------------------------------------------------------
 
 
@@ -583,6 +596,22 @@ def test_plot_missing_file(workdir, capsys):
 def test_usage_errors_exit_one(capsys, argv):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["gen-data", "0", "/"], "/"),  # no name to build a temp file from
+        (["gen-data", "0", "."], "."),
+        (["gen-data", "0", "d"], "d"),  # an existing directory
+        (["pareto-toy", "--grid=0:2:5", "--draws=5", "--out-csv=d"], "d"),
+    ],
+)
+def test_an_output_path_that_is_a_directory_is_one_error_line(workdir, capsys, argv, path):
+    (workdir / "d").mkdir()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: output path {path!r} is a directory\n"
+    assert list(workdir.rglob("*")) == [workdir / "d"]  # no temp file, no other artifact
 
 
 # --- svg emission ------------------------------------------------------------
@@ -639,6 +668,8 @@ def test_svg_scatter_counts_and_errors(tmp_path):
         emit_svg_scatter([[(0.0, 0.0)]], ["a", "b"], tmp_path / "s.svg")
     with pytest.raises(ValueError, match="no points"):
         emit_svg_scatter([[], []], ["a", "b"], tmp_path / "s.svg")
+    with pytest.raises(ValueError):  # three values per point
+        emit_svg_scatter([[(0.0, 1.0, 2.0), (1.0, 0.0, 2.0)]], ["a"], tmp_path / "s.svg")
 
 
 @pytest.mark.parametrize(

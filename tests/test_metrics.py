@@ -191,9 +191,23 @@ def test_pareto_two_objectives_signed_zeros_and_repeats():
 # --- robust frontier ---------------------------------------------------------
 
 
+def _frontiers(*args, **kwargs):
+    """robust_frontier's (theta, values) array pairs as FrontierPoint lists."""
+    return [[FrontierPoint(t, tuple(v)) for t, v in zip(theta.tolist(), values.tolist())]
+            for theta, values in robust_frontier(*args, **kwargs)]
+
+
+def test_robust_frontier_returns_theta_and_value_arrays():
+    grid = np.linspace(-1.0, 3.0, 41)
+    for theta, values in robust_frontier(ToySpec(grid=tuple(grid)), num_draws=20):
+        assert theta.dtype == values.dtype == np.float64
+        assert theta.ndim == 1 and values.shape == (theta.size, 2)
+        assert np.isin(theta, grid).all() and (np.diff(theta) > 0).all()  # grid order
+
+
 def test_robust_frontier_zero_std_coincides_with_nominal():
     spec = ToySpec(perturbation_std=0.0, grid=tuple(np.linspace(-1, 3, 41)))
-    nominal, robust = robust_frontier(spec, num_draws=20)
+    nominal, robust = _frontiers(spec, num_draws=20)
     assert [p.theta for p in nominal] == [p.theta for p in robust]
     for a, b in zip(nominal, robust):
         assert a.values == pytest.approx(b.values, abs=1e-9)
@@ -201,14 +215,14 @@ def test_robust_frontier_zero_std_coincides_with_nominal():
 
 def test_robust_frontier_two_point_grid():
     spec = ToySpec(perturbation_std=0.0, grid=(0.0, 2.0))
-    nominal, _ = robust_frontier(spec, num_draws=5)
+    nominal, _ = _frontiers(spec, num_draws=5)
     # each grid point minimizes one objective, so both survive
     assert [p.theta for p in nominal] == [0.0, 2.0]
 
 
 def test_robust_frontier_perturbation_changes_the_set():
     spec = ToySpec(perturbation_std=0.5, grid=tuple(np.linspace(-1, 3, 81)))
-    nominal, robust = robust_frontier(spec, num_draws=100, seed=0)
+    nominal, robust = _frontiers(spec, num_draws=100, seed=0)
     nom = {p.values for p in nominal}
     rob = {p.values for p in robust}
     assert nom != rob
@@ -217,7 +231,7 @@ def test_robust_frontier_perturbation_changes_the_set():
 def test_robust_frontier_matches_bisection_and_brute_force():
     grid = np.linspace(-1.0, 3.0, 401)
     spec = ToySpec(perturbation_std=0.5, grid=tuple(grid))
-    nominal, robust = robust_frontier(spec, num_draws=200, lam=1.0, seed=0)
+    nominal, robust = _frontiers(spec, num_draws=200, lam=1.0, seed=0)
 
     ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=2)
     specs = perturbation_ensemble(spec, 200, 0)
@@ -248,7 +262,7 @@ def test_robust_frontier_equals_the_row_by_row_values(monkeypatch, points, draws
         monkeypatch.setattr(metrics, "CHUNK_ELEMENTS", budget)
     grid = np.linspace(-1.0, 3.0, points)
     spec = ToySpec(perturbation_std=0.5, grid=tuple(grid))
-    nominal, robust = robust_frontier(spec, num_draws=draws, lam=1.0, seed=3)
+    nominal, robust = _frontiers(spec, num_draws=draws, lam=1.0, seed=3)
 
     ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=2)
     specs = perturbation_ensemble(spec, draws, 3)
@@ -272,7 +286,7 @@ def test_robust_frontier_is_the_brute_force_frontier_of_the_full_clouds(std, poi
     # the independent O(k^2) filter picks the frontier of each whole cloud
     grid = np.linspace(-1.0, 3.0, points)
     spec = ToySpec(perturbation_std=std, grid=tuple(grid))
-    nominal, robust = robust_frontier(spec, num_draws=50, lam=1.0, seed=seed)
+    nominal, robust = _frontiers(spec, num_draws=50, lam=1.0, seed=seed)
 
     ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=2)
     specs = perturbation_ensemble(spec, 50, seed)

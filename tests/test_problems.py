@@ -21,6 +21,7 @@ from drmoo.problems import (
     gen_linear,
     load_wine_tasks,
     perturb_toy,
+    perturbation_draws,
     perturbation_ensemble,
     quantile_threshold,
     logistic,
@@ -627,6 +628,20 @@ def test_perturb_toy_empirical_std():
     assert abs(shifts.std() - 0.5) <= 0.025  # within 5%
 
 
+@pytest.mark.parametrize("std", [0.0, 0.5, 1e3])
+@pytest.mark.parametrize("seed", [0, 3, 12345, 2**63])
+def test_perturbation_draws_are_the_ensemble_bit_for_bit(std, seed):
+    spec = ToySpec(x1=-0.3, x2=2.0, b1=0.0, b2=0.75, perturbation_std=std)
+    for draws in (1, 37):
+        want = np.array([(s.x1, s.b1, s.x2, s.b2)
+                         for s in perturbation_ensemble(spec, draws, seed)])
+        got = perturbation_draws(spec, draws, seed)
+        assert got.shape == (draws, 4) and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()  # every bit, the sign of a zero included
+    with pytest.raises(ValueError, match="at least one draw"):
+        perturbation_draws(spec, 0, seed)
+
+
 def test_toy_problem_wraps_ensemble_as_squared_error():
     spec = ToySpec(perturbation_std=0.5)
     p = toy_problem(spec, num_draws=50, seed=2)
@@ -634,6 +649,8 @@ def test_toy_problem_wraps_ensemble_as_squared_error():
     assert p.dimension == 1
     assert p.num_samples == 50
     specs = perturbation_ensemble(spec, 50, seed=2)
+    assert np.array_equal(p.labels, [[s.x1 for s in specs], [s.x2 for s in specs]])
+    assert np.array_equal(p.offsets, [[s.b1 for s in specs], [s.b2 for s in specs]])
     theta = np.array([0.4])
     losses, grads = p.per_sample(0, theta)
     want = np.array([(0.4 - s.x1) ** 2 + s.b1 for s in specs])
