@@ -305,12 +305,12 @@ def cmd_pareto_toy(args) -> int:
     )
     tags = ("nominal", "robust")
     out_csv = Path(args.out_csv)
-    body = "".join(f"{tag},%.17g,%.17g,%.17g\n" % (t, f1, f2)
-                   for tag, (theta, values) in zip(tags, frontiers)
-                   for t, (f1, f2) in zip(theta.tolist(), values.tolist()))
-    with atomic_open(out_csv) as fh:
+    body = "".join((f"{tag},%.17g,%.17g,%.17g\n" * len(theta))
+                   % tuple(np.column_stack((theta, values)).ravel().tolist())
+                   for tag, (theta, values) in zip(tags, frontiers))
+    with atomic_open(out_csv) as fh:  # a failed SVG write removes the CSV's temp file too
         fh.write("frontier,theta,f1,f2\n" + body)
-    emit_svg_scatter([values for _, values in frontiers], tags, args.out_svg)
+        emit_svg_scatter([values for _, values in frontiers], tags, args.out_svg)
     nominal, robust = (len(theta) for theta, _ in frontiers)
     print(f"nominal frontier {nominal} points, robust {robust}; "
           f"wrote {out_csv} and {args.out_svg}")

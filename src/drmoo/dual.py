@@ -221,15 +221,27 @@ def exact_dual_min(ctx: DualContext, losses):
     i bit for bit as exact_dual_min(ctx, losses[i]).
     """
     losses = _as_batch(losses, block=True)
-    u = np.sort(np.atleast_2d(losses), axis=1)[:, ::-1]
-    top = u[:, 0]
-    gap = u - top[:, None]
-    b = u.shape[1]
-    k = np.arange(1, b + 1)
-    eta = np.cumsum(gap, axis=1) / k + 2.0 * ctx.lam * (1.0 - b / k)
-    last = b - 1 - np.argmax((gap > eta - 2.0 * ctx.lam)[:, ::-1], axis=1)
-    eta_star = top + eta[np.arange(len(u)), last]
+    u = np.sort(np.atleast_2d(losses), axis=1)
+    gap, eta = np.empty((2, *u.shape))
+    eta_star = _sorted_dual_min(ctx, u, gap, eta, np.empty(u.shape, dtype=bool))
     return float(eta_star[0]) if losses.ndim == 1 else eta_star
+
+
+def _sorted_dual_min(ctx: DualContext, u, gap, eta, mask):
+    """exact_dual_min's closed form on the rows of u, an (r, B) block of
+    finite losses, each row sorted ascending; unchecked, for callers that
+    sort into their own buffers. u is overwritten, and gap, eta (float) and
+    mask (bool) are (r, B) work buffers; all four must be C-ordered."""
+    b = u.shape[1]
+    top = u[:, -1].copy()
+    np.subtract(u[:, ::-1], top[:, None], out=gap)  # u_k - u_1, u descending
+    k = np.arange(1, b + 1)
+    np.cumsum(gap, axis=1, out=eta)
+    eta /= k
+    eta += 2.0 * ctx.lam * (1.0 - b / k)  # eta_k - u_1
+    np.greater(gap, np.subtract(eta, 2.0 * ctx.lam, out=u), out=mask)
+    last = b - 1 - np.argmax(mask[:, ::-1], axis=1)
+    return top + eta[np.arange(len(u)), last]
 
 
 def phi_oracle(ctx: DualContext, problem, theta):

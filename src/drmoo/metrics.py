@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualContext, ObjectiveJacobian, conjugate_value, exact_dual_min
-from .dual import dual_value  # noqa: F401 (re-exported for the benchmark's tracer)
+from .dual import DualContext, ObjectiveJacobian, _sorted_dual_min, chi_weights
+from .dual import dual_value, exact_dual_min  # noqa: F401 (re-exported for the benchmark's tracer)
 from .problems import ToySpec, perturbation_draws, toy_objectives
 from .problems import perturbation_ensemble  # noqa: F401 (re-exported for the benchmark's tracer)
 
-# element budget of robust_frontier's loss chunks and, for m > 2, the sort rule's comparisons;
-# 64 KiB temporaries stay under glibc's mmap threshold, so the heap reuses them, not the OS
-CHUNK_ELEMENTS = 1 << 13
+# element budget of one block of robust_frontier's workspace (allocated once per call and
+# reused by every block) and, for m > 2, of the sort rule's comparisons
+CHUNK_ELEMENTS = 1 << 15
 
 
 def balanced_grad_norm(jac: ObjectiveJacobian, w) -> float:
@@ -67,9 +67,10 @@ class FrontierPoint:
 
 
 def _row_chunks(rows: int, cols: int):
-    """Slices of the rows of a (rows, cols) block, each under CHUNK_ELEMENTS."""
+    """Slices of the rows of a (rows, cols) block, each under CHUNK_ELEMENTS
+    (or one row), the last one ending at rows."""
     step = max(1, CHUNK_ELEMENTS // cols)
-    return [slice(i, i + step) for i in range(0, rows, step)]
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
 def _pareto_keep(values) -> np.ndarray:
@@ -117,12 +118,14 @@ def robust_frontier(spec: ToySpec, num_draws: int = 200, lam: float = 1.0, seed:
     toy_objectives; the robust value of objective i treats the i-th
     objective's evaluations under the perturbation ensemble (scale
     spec.perturbation_std, drawn by perturbation_draws) as the loss samples
-    of the dual objective and minimizes the dual scalar out exactly, in row
-    chunks of each objective's (k, num_draws) losses on a k-point grid
-    (toy_objectives' arithmetic); a value is dual_value's arithmetic as a row
-    mean, equal to dual_value on that row bit for bit. Only the grid points
-    of the two (k, 2) value clouds that pareto_filter's rule keeps are
-    returned. An overflow raises a ValueError naming the std.
+    of the dual objective and minimizes the dual scalar out exactly. Each
+    objective's (k, num_draws) losses on a k-point grid (toy_objectives'
+    arithmetic) are solved in row blocks, in place over one workspace
+    allocated per call, by exact_dual_min's kernel; a value is dual_value's
+    arithmetic as a row mean, so it equals dual_value at exact_dual_min of
+    its row bit for bit. Only the grid points of the two (k, 2) value clouds
+    that pareto_filter's rule keeps are returned. An overflow raises a
+    ValueError naming the std.
 
     Returns (nominal_frontier, robust_frontier), each a pair of arrays
     (theta (j,), values (j, 2)) in grid order. With perturbation_std=0 the
@@ -135,12 +138,23 @@ def robust_frontier(spec: ToySpec, num_draws: int = 200, lam: float = 1.0, seed:
         with np.errstate(over="raise", invalid="raise"):
             shifts = perturbation_draws(spec, num_draws, seed).T.copy()  # x1, b1, x2, b2
             clouds = (np.stack(toy_objectives(spec, grid), axis=1), np.empty((grid.size, 2)))
+            blocks = _row_chunks(grid.size, num_draws)
+            work = np.empty((4, blocks[0].stop, num_draws))
+            mask = np.empty(work.shape[1:], dtype=bool)
             for i, (x, b) in enumerate((shifts[:2], shifts[2:])):
-                for rows in _row_chunks(grid.size, num_draws):
-                    losses = np.square(grid[rows, None] - x) + b
-                    eta = exact_dual_min(ctx, losses)
-                    t = (losses - eta[:, None]) / ctx.lam
-                    clouds[1][rows, i] = ctx.lam * np.mean(conjugate_value(t), axis=1) + eta
+                for rows in blocks:
+                    n = rows.stop - rows.start
+                    losses, u, gap, eta = work[:, :n]
+                    np.square(np.subtract(grid[rows, None], x, out=losses), out=losses)
+                    losses += b
+                    np.copyto(u, losses)
+                    u.sort(axis=1)
+                    eta_star = _sorted_dual_min(ctx, u, gap, eta, mask[:n])
+                    f = chi_weights(ctx, losses, eta_star, out=gap)  # (t + 2)_+
+                    np.square(f, out=f)
+                    f *= 0.25
+                    f -= 1.0  # f*(t), t = (losses - eta*) / lambda
+                    clouds[1][rows, i] = ctx.lam * np.mean(f, axis=1) + eta_star
     except FloatingPointError:
         raise ValueError(f"toy losses overflow at perturbation std {spec.perturbation_std} "
                          f"on grid [{grid.min()}, {grid.max()}]") from None

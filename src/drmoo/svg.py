@@ -109,8 +109,8 @@ def emit_svg_scatter(point_sets, labels, out_path) -> Path:
     """Linear-axes scatter of labelled (f1, f2) point sets (frontier views).
 
     A point set is a (k, 2) array or a sequence of (f1, f2) pairs; the
-    circles' coordinates are computed for a whole set at once, with the
-    arithmetic of the axis ticks."""
+    circles' coordinates are computed and formatted for a whole set at once,
+    with the arithmetic of the axis ticks."""
     if not point_sets or len(point_sets) != len(labels):
         raise ValueError("need matching nonempty point sets and labels")
     point_sets = [np.asarray(pts, dtype=float).reshape(len(pts), 2) for pts in point_sets]
@@ -143,7 +143,9 @@ def emit_svg_scatter(point_sets, labels, out_path) -> Path:
     for k, (pts, label) in enumerate(zip(point_sets, labels)):
         color = PALETTE[k % len(PALETTE)]
         circle = f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{color}"/>'
-        parts.extend(circle % c for c in zip(sx(pts[:, 0]).tolist(), sy(pts[:, 1]).tolist()))
+        if len(pts):  # one % over the set's interleaved coordinates
+            xy = np.column_stack((sx(pts[:, 0]), sy(pts[:, 1]))).ravel().tolist()
+            parts.append("\n".join([circle] * len(pts)) % tuple(xy))
         ly = y1 + 14 + 16 * k
         parts.append(f'<circle cx="{x1 - 144}" cy="{ly}" r="3" fill="{color}"/>')
         parts.append(f'<text x="{x1 - 134}" y="{ly + 4}">{label}</text>')

@@ -604,7 +604,9 @@ def test_usage_errors_exit_one(capsys, argv):
         (["gen-data", "0", "/"], "/"),  # no name to build a temp file from
         (["gen-data", "0", "."], "."),
         (["gen-data", "0", "d"], "d"),  # an existing directory
-        (["pareto-toy", "--grid=0:2:5", "--draws=5", "--out-csv=d"], "d"),
+        # neither file of a pareto-toy pair is written when either path is bad
+        (["pareto-toy", "--grid=0:2:5", "--draws=5", "--out-csv=d", "--out-svg=p.svg"], "d"),
+        (["pareto-toy", "--grid=0:2:5", "--draws=5", "--out-csv=p.csv", "--out-svg=d"], "d"),
     ],
 )
 def test_an_output_path_that_is_a_directory_is_one_error_line(workdir, capsys, argv, path):

@@ -1,9 +1,13 @@
-"""The pareto-toy CSV and SVG against stored golden files, byte for byte.
+"""The pareto-toy CSV and SVG, and short runs of every solver on every
+problem with the `drmoo check` output, against stored golden files, byte
+for byte.
 
-tests/golden/regen.py wrote the files and recorded the run's arguments and
-numpy version in pareto_toy.json. With another numpy the bytes may move in
-the last digit, so the CSV is then compared at a relative tolerance and the
-test says that the byte check did not run.
+tests/golden/regen.py wrote the files. It recorded the toy run's arguments
+and numpy version in pareto_toy.json, and the numerical environment of the
+runs (numpy, BLAS, dispatched SIMD features) in runs.json. In another
+environment the bytes may move in the last digit, so the numbers are then
+compared at a relative tolerance and the test says that the byte check did
+not run.
 """
 
 import json
@@ -13,6 +17,7 @@ import numpy as np
 import pytest
 
 from drmoo import cli
+from golden.regen import fingerprint, golden_runs
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
@@ -37,3 +42,35 @@ def test_pareto_toy_matches_the_golden_files(tmp_path, capsys):
                                    np.array(w_vals, dtype=float), rtol=RTOL, atol=0)
     pytest.skip(f"byte check did not run: golden files are from numpy {meta['numpy']}, "
                 f"this is numpy {np.__version__}; the CSV agrees to rtol {RTOL}")
+
+
+def _close(got, want):
+    """A real within RTOL of its golden value; any other cell equal."""
+    try:
+        return bool(np.isclose(float(got), float(want), rtol=RTOL, atol=0, equal_nan=True))
+    except ValueError:
+        return got == want
+
+
+def test_runs_match_the_golden_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    got = golden_runs(tmp_path)
+    capsys.readouterr()
+    want = {p.name: p.read_text(encoding="utf-8") for p in (GOLDEN / "runs").iterdir()}
+    assert sorted(got) == sorted(want)
+    recorded = json.loads((GOLDEN / "runs.json").read_text(encoding="utf-8"))
+    if recorded == fingerprint():
+        for name in sorted(want):  # every trace column but wall_ms, which regen drops
+            assert got[name].splitlines() == want[name].splitlines(), name
+        return
+    for name in sorted(want):
+        pairs = list(zip(got[name].splitlines(), want[name].splitlines()))
+        assert len(pairs) == len(want[name].splitlines()) == len(got[name].splitlines()), name
+        for g, w in pairs:
+            if name == "check.txt":  # its figures have 2-3 digits, which a last-bit move can round
+                assert g.split(":")[0] == w.split(":")[0], name
+                continue
+            g, w = g.split(","), w.split(",")
+            assert len(g) == len(w) and all(map(_close, g, w)), (name, g, w)
+    pytest.skip(f"byte check did not run: golden runs are from {recorded}, this is "
+                f"{fingerprint()}; the runs agree to rtol {RTOL} and the checks' verdicts match")

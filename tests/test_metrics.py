@@ -249,19 +249,28 @@ def test_robust_frontier_matches_bisection_and_brute_force():
     )
 
 
+BLOCK = metrics.CHUNK_ELEMENTS // 200  # grid rows in one block of 200 draws
+
+
 @pytest.mark.parametrize(
-    "points, draws, budget",
+    "points, draws, budget, std",
     [
-        (401, 200, None),  # 401 rows of 200 per objective: 40 a chunk, the 11th one row
-        (41, 30, 100),  # three rows per chunk, the last one partial
-        (41, 30, 16),  # a budget under one row: one row per chunk
+        # 401 rows of 200 per objective: two full blocks, the third partial
+        pytest.param(401, 200, None, 0.5, id="401-200-None"),
+        pytest.param(41, 30, 100, 0.5, id="41-30-100"),  # three rows a block, the last partial
+        pytest.param(41, 30, 16, 0.5, id="41-30-16"),  # a budget under one row: a row a block
+        pytest.param(41, 30, 30, 0.5, id="41-30-30"),  # a budget of exactly one row
+        pytest.param(BLOCK - 1, 200, None, 0.5, id="block-1"),  # one block, not full
+        pytest.param(BLOCK, 200, None, 0.5, id="block"),  # one full block
+        pytest.param(BLOCK + 1, 200, None, 0.5, id="block+1"),  # a full block and one row
+        pytest.param(BLOCK + 1, 200, None, 0.0, id="block+1-std0"),  # constant rows
     ],
 )
-def test_robust_frontier_equals_the_row_by_row_values(monkeypatch, points, draws, budget):
+def test_robust_frontier_equals_the_row_by_row_values(monkeypatch, points, draws, budget, std):
     if budget is not None:
         monkeypatch.setattr(metrics, "CHUNK_ELEMENTS", budget)
     grid = np.linspace(-1.0, 3.0, points)
-    spec = ToySpec(perturbation_std=0.5, grid=tuple(grid))
+    spec = ToySpec(perturbation_std=std, grid=tuple(grid))
     nominal, robust = _frontiers(spec, num_draws=draws, lam=1.0, seed=3)
 
     ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=2)
@@ -276,6 +285,11 @@ def test_robust_frontier_equals_the_row_by_row_values(monkeypatch, points, draws
     assert nominal == pareto_brute_force(
         [FrontierPoint(float(t), toy_objectives(spec, float(t))) for t in grid]
     )
+    # every grid point's value, dominated or not, so no block hides behind the filter
+    monkeypatch.setattr(metrics, "_pareto_keep", lambda values: np.arange(len(values)))
+    _, (theta, values) = robust_frontier(spec, num_draws=draws, lam=1.0, seed=3)
+    assert theta.tolist() == grid.tolist()
+    assert [tuple(v) for v in values.tolist()] == [p.values for p in cloud]
 
 
 @pytest.mark.parametrize("std", [0.0, 0.5])
