@@ -41,6 +41,7 @@ from .config import (
 from .dual import DualContext, grad_eta
 from .metrics import robust_frontier, window_means
 from .problems import (
+    WINE_DEFAULT_PATH,
     WINE_ENV,
     LinearSpec,
     ToySpec,
@@ -77,7 +78,7 @@ def _build_problem(cfg):
         if path is None:
             raise ConfigError(
                 "wine dataset not found; set wine_path in the config, export "
-                f"{WINE_ENV}, or place the CSV at data/winequality-white.csv"
+                f"{WINE_ENV}, or place the CSV at {WINE_DEFAULT_PATH.as_posix()}"
             )
         return load_wine_tasks(path)
     return toy_problem(
@@ -104,12 +105,12 @@ def _failed(status, text, count):
     return [(status, text if k == 0 else "", None, None) for k in range(count)]
 
 
-def _run_job(block, seeds):
-    """Run one (block, seed group) job in a worker, writing nothing: the
+def _run_job(block, solver_cfg):
+    """Run one (block, solver config) job in a worker, writing nothing: the
     group's traces, or (error:<type>, traceback text) if the solver raised."""
     cfg, problem, ctx = _blocks[block]
     try:
-        return _SOLVER_FNS[cfg.solver](build_solver_config(cfg, seeds), problem, ctx)
+        return _SOLVER_FNS[cfg.solver](solver_cfg, problem, ctx)
     except Exception as exc:  # one failed job must not lose the others
         return f"error:{type(exc).__name__}", traceback.format_exc()
 
@@ -130,9 +131,10 @@ def run_experiment(runs, echo=print) -> int:
 
     Blocks that agree on every field _build_problem reads share one problem
     and its g = auto estimate, each built once. A job is one group of a
-    block's seeds, which its solver runs in lockstep: each block's seeds are
-    cut into ceil(CPUs / blocks) contiguous groups, so a config of fewer
-    blocks than CPUs still keeps every CPU busy. The jobs run in a pool of
+    block's seeds, carried as its solver config (built once, here), which
+    a worker's solver runs in lockstep: each block's seeds are cut
+    into ceil(CPUs / blocks) contiguous groups, so a config of fewer blocks
+    than CPUs still keeps every CPU busy. The jobs run in a pool of
     forked worker processes, one per CPU this process may use (at most one
     per job), submitted in decreasing order of the samples they consume
     (ties in config order), so no long job is left to start last. Workers
@@ -182,14 +184,13 @@ def run_experiment(runs, echo=print) -> int:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     cpus = cpus or 1
     groups = -(-cpus // len(blocks))
-    jobs = [(b, tuple(map(int, group))) for b, (cfg, _, _) in enumerate(blocks)
+    jobs = [(b, build_solver_config(cfg, map(int, group))) for b, (cfg, _, _) in enumerate(blocks)
             for group in np.array_split(cfg.seeds, min(groups, len(cfg.seeds)))]
     sizes = []  # the samples each job consumes
-    for b, group in jobs:
+    for b, solver_cfg in jobs:
         cfg, problem, _ = blocks[b]
-        solver_cfg = build_solver_config(cfg, group)
         per_step = samples_per_step(cfg.solver, solver_cfg, problem.num_objectives)
-        sizes.append(len(group) * solver_cfg.T * per_step)
+        sizes.append(len(solver_cfg.seeds) * solver_cfg.T * per_step)
     pool = ProcessPoolExecutor(
         max_workers=min(cpus, len(jobs)),
         mp_context=multiprocessing.get_context("fork"),
@@ -203,7 +204,7 @@ def run_experiment(runs, echo=print) -> int:
         futures = {_submit(pool, jobs[j]): j for j in order}
         for fut in as_completed(futures):  # each job's traces are written as it ends
             j = futures.pop(fut)  # so a job's traces live only this iteration
-            b, group = jobs[j]
+            b, group = jobs[j][0], jobs[j][1].seeds
             try:
                 out = fut.result()
                 if isinstance(out, tuple):  # the solver raised
@@ -274,10 +275,10 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out)
     header = [f"x{j + 1}" for j in range(x.shape[1])]
     header += [f"y{i + 1}" for i in range(problem.num_objectives)]
+    row = ",".join(["%.17g"] * len(header)) + "\n"  # %.17g writes a float as _fmt does
     with atomic_open(out) as fh:
         fh.write(",".join(header) + "\n")
-        for r in range(x.shape[0]):
-            fh.write(",".join(map(_fmt, [*x[r], *y[r]])) + "\n")
+        fh.writelines(row % tuple(r.tolist()) for r in np.column_stack((x, y)))
     print(f"wrote {out} ({x.shape[0]} rows)")
     return 0
 

@@ -160,13 +160,14 @@ class MultiTaskProblem:
 
 
 def estimate_lipschitz(problem: MultiTaskProblem, theta=None) -> float:
-    """Empirical loss Lipschitz bound G: the max per-sample gradient norm
-    over every objective's full dataset at theta (default theta = 0)."""
+    """Empirical loss Lipschitz bound G: the max per-sample gradient norm (slope
+    times row) in sample_batch's full batch at theta (default theta = 0)."""
     if theta is None:
         theta = np.zeros(problem.dimension)
+    _, slopes, rows = problem.sample_batch(theta)
     g = 0.0
-    for i in range(problem.num_objectives):
-        _, grads = problem.per_sample(i, theta)
+    for s in slopes:
+        grads = s[:, None] * rows
         g = max(g, float(np.sqrt((grads * grads).sum(axis=1)).max()))
     if g <= 0.0:
         raise ValueError("all per-sample gradients vanish; cannot estimate G")
@@ -363,15 +364,12 @@ def synthesize_wine_csv(path, seed: int = 0, rows: int = 4898) -> Path:
         "alcohol": alcohol,
         "quality": quality,
     }
+    row = ";".join("%d" if c == "quality" else "%.4f" for c in WINE_COLUMNS) + "\n"
     path = Path(path)
     with atomic_open(path) as fh:
         fh.write(";".join(f'"{c}"' for c in WINE_COLUMNS) + "\n")
-        for j in range(rows):
-            vals = []
-            for c in WINE_COLUMNS:
-                v = cols[c][j]
-                vals.append(str(int(v)) if c == "quality" else f"{v:.4f}")
-            fh.write(";".join(vals) + "\n")
+        table = np.column_stack([cols[c] for c in WINE_COLUMNS])
+        fh.writelines(row % tuple(r.tolist()) for r in table)  # a row's floats at a time
     return path
 
 

@@ -12,13 +12,17 @@ Writes beside this script:
   seeds, the wine blocks on the stand-in that synthesize_wine_csv(seed=0)
   writes) and check.txt, the stdout of `drmoo check`;
 - runs.json: fingerprint(), the numerical environment that made runs/,
-  since the run bits also depend on numpy's exp/log1p and matmul kernels.
+  since the run bits also depend on numpy's exp/log1p and matmul kernels,
+  and under "writers" the sha256 and size of the CSVs that `drmoo gen-data 0`
+  and synthesize_wine_csv(seed=0) write (writer_pins), whose bits depend on
+  the same kernels.
 
 Run it only for a change that means to move these bytes, and state the
 largest relative change per column in CHANGES.md.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -72,6 +76,20 @@ def golden_runs(cwd):
     return texts
 
 
+def writer_pins(cwd):
+    """{writer: {"sha256", "size"}} of the CSVs that `drmoo gen-data 0` and
+    synthesize_wine_csv(seed=0) write into cwd."""
+    cwd = Path(cwd)
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(["gen-data", "0", str(cwd / "gen_data.csv")])
+    if status:
+        raise RuntimeError(f"drmoo gen-data exited {status}")
+    paths = {"gen-data 0": cwd / "gen_data.csv",
+             "synthesize_wine_csv(seed=0)": synthesize_wine_csv(cwd / "stand_in.csv", seed=0)}
+    return {name: {"sha256": hashlib.sha256(p.read_bytes()).hexdigest(), "size": p.stat().st_size}
+            for name, p in paths.items()}
+
+
 def main():
     status = cli.main([*ARGV, f"--out-csv={HERE / 'pareto_toy.csv'}",
                        f"--out-svg={HERE / 'pareto_toy.svg'}"])
@@ -83,11 +101,13 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         texts = golden_runs(tmp)
+        pins = writer_pins(tmp)
     shutil.rmtree(HERE / "runs", ignore_errors=True)
     (HERE / "runs").mkdir()
     for name, text in texts.items():
         (HERE / "runs" / name).write_text(text, encoding="utf-8", newline="")
-    (HERE / "runs.json").write_text(json.dumps(fingerprint(), indent=1) + "\n", encoding="utf-8")
+    recorded = {**fingerprint(), "writers": pins}
+    (HERE / "runs.json").write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import types
 import warnings
 from concurrent.futures import ProcessPoolExecutor, wait
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drmoo import checks, cli
+from drmoo import checks, cli, dual, metrics, problems, simplex
 from drmoo.checks import CheckResult
 from drmoo.config import build_solver_config, parse_config
 from drmoo.dual import DualContext
@@ -198,7 +199,8 @@ def test_pool_output_matches_serial_reference(workdir, monkeypatch):
     submitted = []
     submit = cli._submit
     monkeypatch.setattr(cli, "_submit",
-                        lambda pool, job: submitted.append(job) or submit(pool, job))
+                        lambda pool, job: submitted.append((job[0], job[1].seeds))
+                        or submit(pool, job))
     echoed = []
     assert cli.run_experiment(_pool_runs(), echo=echoed.append) == 0
     assert submitted == [(2, (1, 0)), (3, (0,)), (1, (3, 0, 2)), (0, (0, 1))]
@@ -274,7 +276,8 @@ def test_jobs_start_longest_first_and_report_in_config_order(workdir, monkeypatc
     submitted = []
     submit = cli._submit
     monkeypatch.setattr(cli, "_submit",
-                        lambda pool, job: submitted.append(job) or submit(pool, job))
+                        lambda pool, job: submitted.append((job[0], job[1].seeds))
+                        or submit(pool, job))
     # samples per job on the toy pair (m = 2): mgda 2*B per step, modo 4*B
     block = "[run.{}]\nproblem = toy\nsolver = {}\ntoy_draws = 20\nT = {}\nB = 4\n"
     text = "output_dir = out\n" + "".join([
@@ -291,6 +294,53 @@ def test_jobs_start_longest_first_and_report_in_config_order(workdir, monkeypatc
                       ] + ["out/summary.csv  [4 run(s)]"]
     rows = (workdir / "out" / "summary.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["short", "tie_a", "long", "tie_b"]
+
+
+# the independent references that tests and `drmoo check` compare the fast
+# layers against; `drmoo run` and `drmoo pareto-toy` must call none of them
+REFERENCES = (
+    dual.conjugate_value, dual.conjugate_deriv, dual.dual_value, dual.grad_eta,
+    dual.grad_theta, dual.rescaled_grads, dual.phi_oracle, dual.exact_dual_min,
+    metrics.surrogate_stationarity, metrics.balanced_grad_norm, metrics.pareto_filter,
+    problems.perturb_toy, problems.perturbation_ensemble, simplex.validate_preference,
+)
+
+
+def test_the_run_path_calls_no_reference_function(workdir, monkeypatch):
+    def planted(name):
+        def raises(*args, **kwargs):
+            raise AssertionError(f"run path called reference {name}")
+        return raises
+
+    names = {fn: fn.__name__ for fn in REFERENCES}
+    patched = set()
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] != "drmoo":
+            continue
+        for attr, value in list(vars(module).items()):
+            if isinstance(value, types.FunctionType) and value in names:
+                monkeypatch.setattr(module, attr, planted(names[value]))
+                patched.add(f"{modname}.{attr}")
+    monkeypatch.setattr(problems.MultiTaskProblem, "per_sample", planted("per_sample"))
+    # the re-exports are patched too, not only the defining modules
+    assert {"drmoo.cli.grad_eta", "drmoo.solvers.dual_value", "drmoo.solvers.grad_theta",
+            "drmoo.solvers.surrogate_stationarity", "drmoo.metrics.exact_dual_min",
+            "drmoo.metrics.perturbation_ensemble"} <= patched
+
+    synthesize_wine_csv(workdir / "w.csv", rows=60)
+    block = "[run.{0}_{1}]\nproblem = {0}\nsolver = {1}\nseeds = 0,1\ntoy_draws = 20\nT = 3\n"
+    text = "output_dir = out\nwine_path = w.csv\n" + "".join(
+        block.format(problem, solver)
+        for problem in ("linear", "wine", "toy") for solver in cli.SOLVERS)
+    runs = parse_config(text)
+    assert len(runs) == 12
+    assert cli.run_experiment(runs, echo=lambda line: None) == 0
+    for cfg in runs:
+        for seed in (0, 1):
+            assert len(read_trace(workdir / "out" / f"{cfg.name}_seed{seed}.csv")["iter"]) == 3
+    assert cli.main(["pareto-toy", "--grid=-1:3:41", "--draws=20",
+                     "--out-csv=toy.csv", "--out-svg=toy.svg"]) == 0
+    assert (workdir / "toy.csv").exists() and (workdir / "toy.svg").exists()
 
 
 def test_a_group_that_raises_marks_each_of_its_seeds(workdir, capsys, monkeypatch):
@@ -419,7 +469,9 @@ def test_run_wine_without_dataset(workdir, capsys, monkeypatch):
     monkeypatch.delenv(WINE_ENV, raising=False)
     _write(workdir / "w.cfg", "[run.w]\nproblem = wine\nsolver = mgda\nT = 2\n")
     assert cli.main(["run", "w.cfg"]) == 1
-    assert "wine dataset not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: [run.w]: wine dataset not found; set wine_path in the config, export "
+        f"{WINE_ENV}, or place the CSV at data/winequality-white.csv\n")
 
 
 def _bad_byte_on_line(path, lineno):

@@ -1,13 +1,14 @@
-"""The pareto-toy CSV and SVG, and short runs of every solver on every
-problem with the `drmoo check` output, against stored golden files, byte
-for byte.
+"""The pareto-toy CSV and SVG, short runs of every solver on every problem
+with the `drmoo check` output, and the CSVs of `drmoo gen-data` and the wine
+stand-in, against stored golden files, byte for byte.
 
 tests/golden/regen.py wrote the files. It recorded the toy run's arguments
 and numpy version in pareto_toy.json, and the numerical environment of the
-runs (numpy, BLAS, dispatched SIMD features) in runs.json. In another
-environment the bytes may move in the last digit, so the numbers are then
-compared at a relative tolerance and the test says that the byte check did
-not run.
+runs (numpy, BLAS, dispatched SIMD features) in runs.json, beside the
+sha256 and size of the two data writers' CSVs. In another environment the
+bytes may move in the last digit, so the numbers are then compared at a
+relative tolerance and the test says that the byte check did not run; the
+writers' hashes are not compared there.
 """
 
 import json
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from drmoo import cli
-from golden.regen import fingerprint, golden_runs
+from golden.regen import fingerprint, golden_runs, writer_pins
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
@@ -52,13 +53,20 @@ def _close(got, want):
         return got == want
 
 
+def _recorded_fingerprint():
+    """runs.json without its writer pins: the environment that made the golden runs."""
+    recorded = json.loads((GOLDEN / "runs.json").read_text(encoding="utf-8"))
+    recorded.pop("writers")
+    return recorded
+
+
 def test_runs_match_the_golden_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     got = golden_runs(tmp_path)
     capsys.readouterr()
     want = {p.name: p.read_text(encoding="utf-8") for p in (GOLDEN / "runs").iterdir()}
     assert sorted(got) == sorted(want)
-    recorded = json.loads((GOLDEN / "runs.json").read_text(encoding="utf-8"))
+    recorded = _recorded_fingerprint()
     if recorded == fingerprint():
         for name in sorted(want):  # every trace column but wall_ms, which regen drops
             assert got[name].splitlines() == want[name].splitlines(), name
@@ -74,3 +82,14 @@ def test_runs_match_the_golden_runs(tmp_path, monkeypatch, capsys):
             assert len(g) == len(w) and all(map(_close, g, w)), (name, g, w)
     pytest.skip(f"byte check did not run: golden runs are from {recorded}, this is "
                 f"{fingerprint()}; the runs agree to rtol {RTOL} and the checks' verdicts match")
+
+
+def test_data_writers_match_the_pinned_bytes(tmp_path):
+    pins = json.loads((GOLDEN / "runs.json").read_text(encoding="utf-8"))["writers"]
+    got = writer_pins(tmp_path)
+    recorded = _recorded_fingerprint()
+    if recorded == fingerprint():
+        assert got == pins
+        return
+    pytest.skip(f"byte check did not run: writer pins are from {recorded}, this is "
+                f"{fingerprint()}")
