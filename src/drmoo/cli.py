@@ -12,10 +12,11 @@ Subcommands:
     plot <metric> <out.svg> <traces...>   log-scale comparison plot
 
 Exit codes: 0 success, 1 config, argument or I/O error or a run that raised,
-2 invariant check failure.
+2 invariant check failure, 130 SIGINT, 143 SIGTERM.
 
 main is the one error boundary: a ValueError (ConfigError is one) or OSError
-from any subcommand becomes one `error: ...` line and exit status 1, so the
+from any subcommand becomes one `error: ...` line and exit status 1, and
+SIGINT or SIGTERM one `error: interrupted` or `error: terminated` line, so the
 subcommands only raise. run_experiment prefixes a block's build failure with
 its `[run.NAME]:`.
 """
@@ -23,6 +24,7 @@ its `[run.NAME]:`.
 import argparse
 import multiprocessing
 import os
+import signal
 import sys
 import traceback
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
@@ -32,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    PROBLEMS,
     ConfigError,
     build_solver_config,
     load_preset,
@@ -91,9 +94,21 @@ def _build_problem(cfg):
 _blocks = ()
 
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, raised in main's thread as SIGINT raises KeyboardInterrupt."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
 def _init_worker(blocks):
+    """A worker leaves SIGINT to the parent, which ends it, and dies quietly
+    on SIGTERM."""
     global _blocks
     _blocks = blocks
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _trace_path(cfg, seed) -> Path:
@@ -129,10 +144,10 @@ def _submit(pool, job) -> Future:
 def run_experiment(runs, echo=print) -> int:
     """Execute parsed run blocks and write their artifacts.
 
-    Blocks that agree on every field _build_problem reads share one problem
-    and its g = auto estimate, each built once. A job is one group of a
-    block's seeds, carried as its solver config (built once, here), which
-    a worker's solver runs in lockstep: each block's seeds are cut
+    Blocks that agree on the fields their problem reads (config.PROBLEMS)
+    share one problem and its g = auto estimate, each built once. A job is
+    one group of a block's seeds, carried as its solver config (built once,
+    here), which a worker's solver runs in lockstep: each block's seeds are cut
     into ceil(CPUs / blocks) contiguous groups, so a config of fewer blocks
     than CPUs still keeps every CPU busy. The jobs run in a pool of
     forked worker processes, one per CPU this process may use (at most one
@@ -164,7 +179,7 @@ def run_experiment(runs, echo=print) -> int:
     # every problem is built before any job runs
     problems, estimates, blocks = {}, {}, []
     for cfg in runs:
-        key = (cfg.problem, cfg.data_seed, cfg.wine_path, cfg.toy_std, cfg.toy_draws)
+        key = (cfg.problem, *(getattr(cfg, f) for f in PROBLEMS[cfg.problem]))
         try:  # numpy raises, not warns; an estimate that overflows is an infinite G
             with np.errstate(all="raise", under="ignore"):
                 if key not in problems:
@@ -219,6 +234,10 @@ def run_experiment(runs, echo=print) -> int:
                 # pending job, and its traceback grows with each raise
                 line = "".join(traceback.format_exception_only(exc))
                 done[j] = _failed(f"error:{type(exc).__name__}", line, len(group))
+    except KeyboardInterrupt:  # so shutdown waits for no running job
+        for proc in multiprocessing.active_children():
+            proc.terminate()
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -395,14 +414,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """The one error boundary: a ValueError or OSError from parsing argv or
-    from any subcommand prints `error: <message>` and returns 1."""
+    from any subcommand prints `error: <message>` and returns 1; SIGINT
+    prints `error: interrupted` and returns 130, SIGTERM `error: terminated`
+    and 143."""
     parser = build_parser()
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except _Terminated:
+        print("error: terminated", file=sys.stderr)
+        return 128 + signal.SIGTERM
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 128 + signal.SIGINT
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -14,15 +14,15 @@ one or more run blocks:
     alpha = 5e-5
 
 `#` starts a comment anywhere on a line. problem and solver are the only
-required keys. A block may also set the common keys (seeds, lambda, g,
-data_seed, toy_draws, toy_std) and the fields of its solver's config
-dataclass in solvers.SOLVERS, which also supplies the defaults (the
-synthetic-regression settings); double_clip also takes B, which sets N1 and
-N2 when they are not given. Everything is checked while parsing: an unknown
-or repeated key, a malformed or out-of-range value or a repeated seed fails
-with its line number, and a value the solver's dataclass rejects fails
-with the block's line number. Presets for the two reference experiments
-ship with the package, see preset_names().
+required keys. A block may also set seeds, lambda, g, the keys of the fields
+its problem reads (PROBLEMS; blocks that agree on those share one problem),
+and the fields of its solver's config dataclass in solvers.SOLVERS, which also
+supplies the defaults (the synthetic-regression settings); double_clip also
+takes B, which sets N1 and N2 when they are not given. Everything is checked
+while parsing: an unknown or repeated key, a malformed or out-of-range value
+or a repeated seed fails with its line number, and a value the solver's
+dataclass rejects fails with the block's line number. Presets for the two
+reference experiments ship with the package, see preset_names().
 """
 
 import math
@@ -32,7 +32,9 @@ from importlib import resources
 
 from .solvers import SOLVERS
 
-PROBLEMS = ("linear", "wine", "toy")
+PROBLEMS = {"linear": ("data_seed",), "wine": ("wine_path",),
+            "toy": ("data_seed", "toy_std", "toy_draws")}  # the fields each build reads
+_PROBLEM_FIELDS = {f for read in PROBLEMS.values() for f in read}
 
 _POSITIVE = ("positive", lambda v: v > 0)
 _NONNEGATIVE = ("nonnegative", lambda v: v >= 0)
@@ -119,7 +121,7 @@ def _finish_block(name, section_line, entries, globals_):
         )
     problem, pl = raw.pop("problem")
     if problem not in PROBLEMS:
-        raise ConfigError(f"line {pl}: unknown problem {problem!r}; choose from {PROBLEMS}")
+        raise ConfigError(f"line {pl}: unknown problem {problem!r}; choose from {tuple(PROBLEMS)}")
     solver, sl = raw.pop("solver")
     if solver not in SOLVERS:
         raise ConfigError(f"line {sl}: unknown solver {solver!r}; choose from {tuple(SOLVERS)}")
@@ -128,18 +130,20 @@ def _finish_block(name, section_line, entries, globals_):
     solver_types = {f.name: f.type for f in fields(default) if f.name != "seeds"}
     if solver == "double_clip":
         solver_types["B"] = int
+    common = {k: v for k, v in _COMMON_KEYS.items()
+              if v[0] in PROBLEMS[problem] or v[0] not in _PROBLEM_FIELDS}
     cfg = ExperimentConfig(name=name, problem=problem, solver=solver, seeds=[0], **globals_)
     params = {}
     for key, (value, lineno) in raw.items():
-        if key in _COMMON_KEYS:
-            attr, typ, valid = _COMMON_KEYS[key]
+        if key in common:
+            attr, typ, valid = common[key]
             setattr(cfg, attr, _convert(key, value, typ, lineno, valid))
         elif key in solver_types:
             params[key] = _convert(key, value, solver_types[key], lineno)
         else:
             raise ConfigError(
-                f"line {lineno}: unknown key {key!r} for solver {solver!r} "
-                f"(allowed: {sorted({'problem', 'solver', *_COMMON_KEYS, *solver_types})})"
+                f"line {lineno}: unknown key {key!r} for solver {solver!r} and problem "
+                f"{problem!r} (allowed: {sorted({'problem', 'solver', *common, *solver_types})})"
             )
     if solver == "double_clip" and "B" in params:
         b = params.pop("B")

@@ -2,6 +2,7 @@
 
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from drmoo.checks import CheckResult
 from drmoo.config import build_solver_config, parse_config
 from drmoo.dual import DualContext
 from drmoo.metrics import window_means
-from drmoo.problems import WINE_ENV, estimate_lipschitz, synthesize_wine_csv
+from drmoo.problems import WINE_ENV, estimate_lipschitz, synthesize_wine_csv, toy_problem
 from drmoo.svg import HEIGHT, WIDTH, emit_svg_plot, emit_svg_scatter
 from drmoo.trace import read_trace, write_trace
 
@@ -251,6 +252,8 @@ def test_each_distinct_problem_is_built_once(workdir, monkeypatch):
 
     monkeypatch.setattr(cli, "gen_linear", counted(cli.gen_linear, built))
     monkeypatch.setattr(cli, "load_wine_tasks", counted(cli.load_wine_tasks, built))
+    monkeypatch.setattr(cli, "toy_problem",
+                        lambda spec, **kw: built.append("toy") or toy_problem(spec, **kw))
     monkeypatch.setattr(cli, "estimate_lipschitz", counted(cli.estimate_lipschitz, estimated))
     synthesize_wine_csv(workdir / "w.csv", rows=60)
     block = "[run.{}]\nproblem = {}\nsolver = mgda\nT = 3\nB = 4\n"
@@ -261,14 +264,16 @@ def test_each_distinct_problem_is_built_once(workdir, monkeypatch):
         block.format("wine_a", "wine"),
         block.format("wine_b", "wine") + "g = 3.0\n",
         block.format("wine_c", "wine"),
+        block.format("toy_a", "toy") + "toy_draws = 20\n",
+        block.format("toy_b", "toy") + "toy_draws = 20\nlambda = 2.0\n",
     ])
     assert cli.run_experiment(parse_config(text), echo=lambda line: None) == 0
-    # two linear data seeds and one wine file, in config order; one g = auto
-    # estimate per problem, whatever lambda its blocks use
-    assert [getattr(a, "seed", a) for a in built] == [0, 1, Path("w.csv")]
-    assert len({id(p) for p in estimated}) == len(estimated) == 3
+    # two linear data seeds, one wine file and one toy pair, in config order;
+    # one g = auto estimate per problem, whatever lambda its blocks use
+    assert [getattr(a, "seed", a) for a in built] == [0, 1, Path("w.csv"), "toy"]
+    assert len({id(p) for p in estimated}) == len(estimated) == 4
     summary = (workdir / "out" / "summary.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[4] for row in summary] == ["ok"] * 6
+    assert [row.split(",")[4] for row in summary] == ["ok"] * 8
 
 
 def test_jobs_start_longest_first_and_report_in_config_order(workdir, monkeypatch):
@@ -328,9 +333,9 @@ def test_the_run_path_calls_no_reference_function(workdir, monkeypatch):
             "drmoo.metrics.perturbation_ensemble"} <= patched
 
     synthesize_wine_csv(workdir / "w.csv", rows=60)
-    block = "[run.{0}_{1}]\nproblem = {0}\nsolver = {1}\nseeds = 0,1\ntoy_draws = 20\nT = 3\n"
+    block = "[run.{0}_{1}]\nproblem = {0}\nsolver = {1}\nseeds = 0,1\nT = 3\n"
     text = "output_dir = out\nwine_path = w.csv\n" + "".join(
-        block.format(problem, solver)
+        block.format(problem, solver) + ("toy_draws = 20\n" if problem == "toy" else "")
         for problem in ("linear", "wine", "toy") for solver in cli.SOLVERS)
     runs = parse_config(text)
     assert len(runs) == 12
@@ -426,6 +431,45 @@ def test_a_failed_trace_write_marks_its_block(workdir, capsys, monkeypatch):
     assert rows[0].split(",")[:5] == ["t1", "toy", "double_clip", "0 1", "ok"]
     assert rows[1].split(",")[:5] == [
         "bad", "toy", "mgda", "0 1", "seed0:error:PermissionError;seed1:error:PermissionError"]
+
+
+@pytest.mark.parametrize("signum, status, line", [
+    (signal.SIGINT, 130, "error: interrupted\n"),
+    (signal.SIGTERM, 143, "error: terminated\n"),
+], ids=["SIGINT", "SIGTERM"])
+def test_a_signal_to_the_run_ends_it_in_one_line(workdir, signum, status, line):
+    # quick draws the most samples, so it is submitted first and ends at once;
+    # slow's 200,000 one-sample steps are still running when the signal comes
+    _write(workdir / "exp.cfg", (
+        "output_dir = out\n"
+        "[run.quick]\nproblem = toy\nsolver = mgda\ntoy_draws = 20\nT = 5\nB = 100000\n"
+        "[run.slow]\nproblem = toy\nsolver = mgda\ntoy_draws = 20\nT = 200000\nB = 1\n"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "drmoo", "run", "exp.cfg"], env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+        # a shell may start the tests with SIGINT ignored, which exec keeps
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        deadline = time.monotonic() + 60
+        while not (workdir / "out" / "quick_seed0.csv").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.killpg(proc.pid, signum)  # the run's process group: the parent and its workers
+        t0 = time.monotonic()
+        out, err = proc.communicate(timeout=60)
+        assert time.monotonic() - t0 < 10  # slow is stopped, not waited for
+        assert (proc.returncode, out, err) == (status, "", line)
+        with pytest.raises(ProcessLookupError):  # no worker outlives the run
+            os.killpg(proc.pid, 0)
+    finally:  # nothing of the run outlives the test
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.communicate()
+    assert len(read_trace(workdir / "out" / "quick_seed0.csv")["iter"]) == 5
+    assert sorted(p.name for p in workdir.rglob("*")) == ["exp.cfg", "out", "quick_seed0.csv"]
 
 
 def test_run_records_jobs_queued_after_a_worker_died(workdir, capsys, monkeypatch):

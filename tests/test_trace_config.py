@@ -220,7 +220,7 @@ def test_overrides_comments_and_globals():
     wine_path = data/wine.csv
 
     [run.a]
-    problem = wine
+    problem = linear
     solver = double_loop
     seeds = 0, 1,2
     lambda = 2.0
@@ -264,6 +264,11 @@ def test_multiple_blocks_in_order():
         ("[run.a]\nproblem = cake\nsolver = mgda\n", r"line 2: unknown problem 'cake'; choose from"),
         ("[run.a]\nproblem = toy\nsolver = sgd\n", r"line 3: unknown solver 'sgd'; choose from"),
         ("[run.a]\nproblem = toy\nsolver = mgda\nD = 3\n", r"line 4: unknown key 'D' for solver 'mgda'"),
+        ("[run.a]\nproblem = linear\nsolver = mgda\ntoy_std = 0.3\n",
+         r"line 4: unknown key 'toy_std' for solver 'mgda' and problem 'linear' \(allowed: "),
+        ("[run.a]\nproblem = wine\nsolver = mgda\ndata_seed = 1\n",
+         r"line 4: unknown key 'data_seed' for solver 'mgda' and problem 'wine' \(allowed: "
+         r"\['B', 'T', 'beta', 'g', 'lambda', 'lr', 'problem', 'rho', 'seeds', 'solver'\]\)$"),
         ("[run.a]\nproblem = toy\nsolver = mgda\nT = 3.5\n", r"key 'T' expects an integer, got '3.5'"),
         ("[run.a]\nproblem = toy\nsolver = mgda\nlr = fast\n", r"key 'lr' expects a real number, got 'fast'"),
         ("[run.a]\nproblem = toy\nsolver = mgda\nseeds = 0;1\n", r"key 'seeds' expects comma-separated integers"),
