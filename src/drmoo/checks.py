@@ -102,29 +102,15 @@ def dual_min_bisect(ctx, losses, tol=1e-10):
     bisection: the independent oracle for the closed-form exact_dual_min.
 
     grad_eta is nondecreasing in eta, so a sign bracket plus bisection is
-    exact. The initial bracket [min(l) - 2*lambda, max(l) + 2*lambda] already
-    brackets the root for the chi-square conjugate (grad <= -1 at the left
-    end, grad = +1 at the right end); it is doubled defensively if either
-    sign is wrong.
+    exact. The bracket [min(l) - 2*lambda, max(l) + 2*lambda] holds the root
+    for the chi-square conjugate, in floats too: its ends round to at most
+    min(l) and at least max(l), so every t = (l - eta)/lambda is >= 0 at the
+    left end (grad <= 0) and <= 0 at the right end (grad >= 0).
     """
     losses = dual._as_batch(losses)
     lo = float(losses.min()) - 2.0 * ctx.lam
     hi = float(losses.max()) + 2.0 * ctx.lam
-    width = hi - lo
-    for _ in range(60):
-        if dual.grad_eta(ctx, losses, lo) <= 0.0:
-            break
-        lo -= width
-        width *= 2.0
-    else:
-        raise RuntimeError("dual minimizer bracket failed")
-    width = hi - lo
-    for _ in range(60):
-        if dual.grad_eta(ctx, losses, hi) >= 0.0:
-            break
-        hi += width
-        width *= 2.0
-    else:
+    if not dual.grad_eta(ctx, losses, lo) <= 0.0 <= dual.grad_eta(ctx, losses, hi):
         raise RuntimeError("dual minimizer bracket failed")
 
     mid = 0.5 * (lo + hi)

@@ -20,7 +20,9 @@ Lhat(theta, eta) = L(theta, G*sqrt(m)*eta), and exact full-batch oracles
 (the closed-form dual minimizer, robust values and gradients) for tests and
 metrics; each takes one objective's loss batch (exact_dual_min also a block
 of batches) and rejects an empty, misshapen or non-finite one. They are the
-reference for batch_oracle, the solvers' fusion of all three for all m.
+reference for batch_oracle, the solvers' fusion of all three for all m. The
+kernels batch_oracle, chi_weights and _sorted_dual_min read only lambda, so
+they take it alone rather than a DualContext.
 
 All expectations are plug-in empirical means over the supplied batch; the
 caller owns sampling and randomness.
@@ -143,15 +145,15 @@ def grad_theta(ctx: DualContext, per_sample_grads, losses, eta_i: float) -> np.n
     return (wgt[:, None] * grads).mean(axis=0)
 
 
-def chi_weights(ctx: DualContext, losses, etas, out=None):
+def chi_weights(lam: float, losses, etas, out=None):
     """(t + 2)_+ = 2 f*'(t), t = (l - eta)/lambda, of (..., r, B) losses; into out if given."""
     u = np.subtract(losses, etas[..., None], out=out)
-    u /= ctx.lam
+    u /= lam
     u += 2.0
     return np.maximum(u, 0.0, out=u)
 
 
-def batch_oracle(ctx: DualContext, losses, slopes, rows, etas):
+def batch_oracle(lam: float, losses, slopes, rows, etas):
     """dual_value, grad_theta and grad_eta of every row of a batch: values
     (..., r), theta-gradients (..., n, r) and eta-gradients (..., r).
 
@@ -165,8 +167,8 @@ def batch_oracle(ctx: DualContext, losses, slopes, rows, etas):
     without (B, n) gradients.
     """
     b = losses.shape[-1]
-    u = chi_weights(ctx, losses, etas)  # (t + 2)_+ = 2 w
-    values = ctx.lam * (0.25 * (u[..., None, :] @ u[..., :, None])[..., 0, 0] / b - 1.0) + etas
+    u = chi_weights(lam, losses, etas)  # (t + 2)_+ = 2 w
+    values = lam * (0.25 * (u[..., None, :] @ u[..., :, None])[..., 0, 0] / b - 1.0) + etas
     theta_grads = ((u * slopes)[..., None, :] @ rows)[..., 0, :].swapaxes(-1, -2) * (0.5 / b)
     return values, theta_grads, 1.0 - 0.5 * u.sum(axis=-1) / b
 
@@ -223,11 +225,11 @@ def exact_dual_min(ctx: DualContext, losses):
     losses = _as_batch(losses, block=True)
     u = np.sort(np.atleast_2d(losses), axis=1)
     gap, eta = np.empty((2, *u.shape))
-    eta_star = _sorted_dual_min(ctx, u, gap, eta, np.empty(u.shape, dtype=bool))
+    eta_star = _sorted_dual_min(ctx.lam, u, gap, eta, np.empty(u.shape, dtype=bool))
     return float(eta_star[0]) if losses.ndim == 1 else eta_star
 
 
-def _sorted_dual_min(ctx: DualContext, u, gap, eta, mask):
+def _sorted_dual_min(lam: float, u, gap, eta, mask):
     """exact_dual_min's closed form on the rows of u, an (r, B) block of
     finite losses, each row sorted ascending; unchecked, for callers that
     sort into their own buffers. u is overwritten, and gap, eta (float) and
@@ -238,8 +240,8 @@ def _sorted_dual_min(ctx: DualContext, u, gap, eta, mask):
     k = np.arange(1, b + 1)
     np.cumsum(gap, axis=1, out=eta)
     eta /= k
-    eta += 2.0 * ctx.lam * (1.0 - b / k)  # eta_k - u_1
-    np.greater(gap, np.subtract(eta, 2.0 * ctx.lam, out=u), out=mask)
+    eta += 2.0 * lam * (1.0 - b / k)  # eta_k - u_1
+    np.greater(gap, np.subtract(eta, 2.0 * lam, out=u), out=mask)
     last = b - 1 - np.argmax(mask[:, ::-1], axis=1)
     return top + eta[np.arange(len(u)), last]
 

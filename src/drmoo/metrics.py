@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualContext, ObjectiveJacobian, _sorted_dual_min, chi_weights
+from .dual import ObjectiveJacobian, _sorted_dual_min, chi_weights
 from .dual import dual_value, exact_dual_min  # noqa: F401 (re-exported for the benchmark's tracer)
 from .problems import ToySpec, perturbation_draws, toy_objectives
 from .problems import perturbation_ensemble  # noqa: F401 (re-exported for the benchmark's tracer)
@@ -132,8 +132,9 @@ def robust_frontier(spec: ToySpec, num_draws: int = 200, lam: float = 1.0, seed:
     ensemble is a point mass, the dual of a constant sample set is that
     constant, and the two frontiers coincide.
     """
+    if not 0 < lam < math.inf:  # DualContext's rule; the kernels read only lambda
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     grid = np.asarray(spec.grid, dtype=float)
-    ctx = DualContext(lam=lam, lipschitz_g=1.0, num_objectives=2)
     try:
         with np.errstate(over="raise", invalid="raise"):
             shifts = perturbation_draws(spec, num_draws, seed).T.copy()  # x1, b1, x2, b2
@@ -149,12 +150,12 @@ def robust_frontier(spec: ToySpec, num_draws: int = 200, lam: float = 1.0, seed:
                     losses += b
                     np.copyto(u, losses)
                     u.sort(axis=1)
-                    eta_star = _sorted_dual_min(ctx, u, gap, eta, mask[:n])
-                    f = chi_weights(ctx, losses, eta_star, out=gap)  # (t + 2)_+
+                    eta_star = _sorted_dual_min(lam, u, gap, eta, mask[:n])
+                    f = chi_weights(lam, losses, eta_star, out=gap)  # (t + 2)_+
                     np.square(f, out=f)
                     f *= 0.25
                     f -= 1.0  # f*(t), t = (losses - eta*) / lambda
-                    clouds[1][rows, i] = ctx.lam * np.mean(f, axis=1) + eta_star
+                    clouds[1][rows, i] = lam * np.mean(f, axis=1) + eta_star
     except FloatingPointError:
         raise ValueError(f"toy losses overflow at perturbation std {spec.perturbation_std} "
                          f"on grid [{grid.min()}, {grid.max()}]") from None
@@ -175,12 +176,3 @@ def window_means(values):
     k = min(20, values.size)
     return float(values[:k].mean()), float(values[-k:].mean())
 
-
-__all__ = [
-    "FrontierPoint",
-    "balanced_grad_norm",
-    "pareto_filter",
-    "robust_frontier",
-    "surrogate_stationarity",
-    "window_means",
-]

@@ -230,15 +230,13 @@ def quantile_threshold(values, s: float) -> float:
     """Smallest value v with empirical CDF(v) >= s; labels are 1(raw >= v).
 
     s=0 makes every label 1 (v is the column minimum); s=1 leaves 1 only at
-    the maximum and its ties.
+    the maximum and its ties. cdf[-1] is exactly 1.0, so every s <= 1 finds
+    an entry.
     """
     values = np.asarray(values, dtype=float)
     uniq, counts = np.unique(values, return_counts=True)  # ascending
     cdf = np.cumsum(counts) / values.size
-    k = int(np.searchsorted(cdf, s))
-    if k >= uniq.size:
-        k = uniq.size - 1
-    return float(uniq[k])
+    return float(uniq[np.searchsorted(cdf, s)])
 
 
 def _raise_wine_row_error(path, header):
@@ -377,17 +375,13 @@ def synthesize_wine_csv(path, seed: int = 0, rows: int = 4898) -> Path:
 # toy bi-objective perturbation example
 
 
-def _default_grid():
-    return tuple(np.linspace(-1.0, 3.0, 401))
-
-
 @dataclass(frozen=True)
 class ToySpec:
     """Two 1-d parabolas f1 = (theta - x1)^2 + b1, f2 = (theta - x2)^2 + b2.
 
     perturbation_std is the scale of Gaussian shifts applied to all four
-    constants by perturb_toy; grid is the default theta sample set for
-    frontier computations.
+    constants by perturb_toy; grid is the theta sample set for frontier
+    computations, by default 401 evenly spaced points on [-1, 3].
     """
 
     x1: float = 0.0
@@ -395,16 +389,14 @@ class ToySpec:
     b1: float = 0.0
     b2: float = 0.0
     perturbation_std: float = 0.5
-    grid: tuple = None
+    grid: tuple = tuple(np.linspace(-1.0, 3.0, 401))
 
     def __post_init__(self):
         if not 0 <= self.perturbation_std < math.inf:
             raise ValueError(
                 f"perturbation std must be nonnegative and finite, got {self.perturbation_std}"
             )
-        if self.grid is None:
-            object.__setattr__(self, "grid", _default_grid())
-        elif len(self.grid) == 0:
+        if len(self.grid) == 0:
             raise ValueError("grid must be nonempty")
 
 

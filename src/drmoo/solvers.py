@@ -239,7 +239,7 @@ def _full_surrogate(problem, ctx, theta, eta_eff, w) -> list:
     become u and u o l' in place (the stored rows X never change), and the
     theta-gradients are contracted with w first: one pass over X per seed."""
     losses, slopes, rows = problem.full_eval(theta)
-    u = chi_weights(ctx, losses, eta_eff, out=losses)
+    u = chi_weights(ctx.lam, losses, eta_eff, out=losses)
     slopes *= u
     eta_grads = 1.0 - 0.5 * u.sum(axis=-1) / problem.num_samples
     grad = ((w[:, None, :] @ slopes) @ rows)[:, 0] * (0.5 / problem.num_samples)
@@ -348,7 +348,7 @@ def run_double_loop(cfg: DoubleLoopConfig, problem, ctx: DualContext) -> list:
         # (c) the Y, Ybar and Ytilde batches at their dual scalars, as one
         # (S, 3m) block in that order
         etas = traj[seed_ax, objectives, next(triples)[:, 0, :, None]].reshape(n_seeds, 3 * m)
-        values, grads, _ = batch_oracle(ctx, *problem.sample_batch(theta, next(batches)), etas)
+        values, grads, _ = batch_oracle(ctx.lam, *problem.sample_batch(theta, next(batches)), etas)
         y_mat, ybar_mat, ytil_mat = grads[..., :m], grads[..., m:2 * m], grads[..., 2 * m:]
         gram_w = _matvec(ybar_mat.swapaxes(-1, -2) @ ytil_mat, w)
         eta_y = etas[:, :m]
@@ -385,7 +385,7 @@ def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> list:
     def step(t, theta, eta, w):
         # eta block at eta_t: grad_eta of every objective, from the losses only
         z_losses = problem.sample_batch(theta, next(zbat))[0]
-        u = chi_weights(ctx, z_losses, scale * eta, out=z_losses)
+        u = chi_weights(ctx.lam, z_losses, scale * eta, out=z_losses)
         z_vec = scale * (1.0 - np.mean(0.5 * u, axis=-1))
         zw = z_vec * w
         zw_norm = _norms(zw)
@@ -394,7 +394,7 @@ def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> list:
 
         # theta block at the fresh dual iterate
         eta_eff = scale * eta_next
-        loss_log, x_mat, _ = batch_oracle(ctx, *problem.sample_batch(theta, next(xbat)), eta_eff)
+        loss_log, x_mat, _ = batch_oracle(ctx.lam, *problem.sample_batch(theta, next(xbat)), eta_eff)
         xw = _matvec(x_mat, w)
         xw_norm = _norms(xw)
         alpha = _clip(cfg.c1, cfg.c2, xw_norm)
@@ -421,7 +421,7 @@ def _run_joint_baseline(cfg: BaselineConfig, problem, ctx, solver) -> list:
         # one oracle call for batch A and, with double sampling, batch B; jb
         # and gb are ja and ga (the same arrays) when there is no batch B
         values, grads, egrads = batch_oracle(
-            ctx, *problem.sample_batch(theta, next(batches)), np.tile(eta, len(roles)))
+            ctx.lam, *problem.sample_batch(theta, next(batches)), np.tile(eta, len(roles)))
         ja, jb, ga, gb = grads[..., :m], grads[..., -m:], egrads[:, :m], egrads[:, -m:]
         # joint (theta, eta) step; the eta block of the jacobian is diagonal
         gram_w = _matvec(ja.swapaxes(-1, -2) @ jb, w) + (ga * gb) * w

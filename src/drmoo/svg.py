@@ -40,8 +40,6 @@ def _frame(title_y, title_x):
 
 
 def _ticks_linear(lo, hi):
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / 4
     return [lo + k * step for k in range(5)]
 
@@ -62,11 +60,10 @@ def emit_svg_plot(trace_paths, metric: str, out_path) -> Path:
         series.append((p.stem, cols["iter"], cols[metric]))
 
     pos = [v for _, _, ys in series for v in ys if v > 0 and math.isfinite(v)]
-    floor = (min(pos) * 0.5) if pos else 1e-12
+    floor = (min(pos) * 0.5 or min(pos)) if pos else 1e-12  # half of 5e-324 rounds to 0
+    # ymin < ymax: floor < max(pos), or both are 5e-324, whose log is no integer
     ymin = math.floor(math.log10(floor))
     ymax = math.ceil(math.log10(max(pos))) if pos else 0
-    if ymax <= ymin:
-        ymax = ymin + 1
     xmax = max((xs[-1] if len(xs) else 1.0) for _, xs, _ in series) or 1.0
 
     parts, (x0, x1, y0, y1) = _frame(metric, "iteration")

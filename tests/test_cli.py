@@ -736,19 +736,23 @@ def test_svg_constant_series_is_horizontal(tmp_path):
 
 def test_svg_plot_draws_non_finite_values_on_the_canvas(tmp_path):
     # a diverged run's partial trace holds inf; a browser drops a polyline
-    # with a non-finite coordinate
-    tr = _constant_trace(tmp_path / "diverged.csv", 0.25)
-    lines = tr.read_text().splitlines()
-    lines[3] = lines[3].replace("0.25", "inf")
-    lines[4] = lines[4].replace("0.25", "nan")
-    tr.write_text("\n".join(lines) + "\n")
-    svg = emit_svg_plot([tr], "balanced_grad", tmp_path / "p.svg").read_text()
-    assert "inf" not in svg.lower() and "nan" not in svg.lower()
-    pts = re.search(r'<polyline points="([^"]+)"', svg).group(1).split()
-    assert len(pts) == 5
-    for pair in pts:
-        x, y = (float(c) for c in pair.split(","))
-        assert 0 <= x <= WIDTH and 0 <= y <= HEIGHT
+    # with a non-finite coordinate. The least positive value 5e-324 has a
+    # half that rounds to 0, which has no log.
+    diverged = _constant_trace(tmp_path / "diverged.csv", 0.25)
+    tiny = _constant_trace(tmp_path / "tiny.csv", 5e-324, rows=2)
+    for tr, row, values in ((diverged, 3, ("inf", "nan")), (tiny, 2, ("0.001",))):
+        lines = tr.read_text().splitlines()
+        old = lines[1].split(",")[4]
+        for k, value in enumerate(values):
+            lines[row + k] = lines[row + k].replace(old, value)
+        tr.write_text("\n".join(lines) + "\n")
+        svg = emit_svg_plot([tr], "balanced_grad", tmp_path / "p.svg").read_text()
+        assert "inf" not in svg.lower() and "nan" not in svg.lower()
+        pts = re.search(r'<polyline points="([^"]+)"', svg).group(1).split()
+        assert len(pts) == len(lines) - 1
+        for pair in pts:
+            x, y = (float(c) for c in pair.split(","))
+            assert 0 <= x <= WIDTH and 0 <= y <= HEIGHT
 
 
 def test_svg_plot_requires_traces(tmp_path):
@@ -782,12 +786,17 @@ def test_svg_scatter_counts_and_errors(tmp_path):
         ["pareto-toy", "--grid=-inf:0:3"],
         ["pareto-toy", "--grid=-1e308:1e308:5"],  # finite endpoints, infinite span
         ["pareto-toy", "--grid=0:1:100000000000000000000"],  # more points than numpy indexes
+        ["pareto-toy", "--lambda", "0"],
+        ["pareto-toy", "--lambda", "nan"],
+        ["pareto-toy", "--lambda", "inf"],
     ],
 )
 def test_bad_arguments_exit_1_with_one_error_line(workdir, capsys, recwarn, argv):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if "--lambda" in argv:
+        assert err.startswith(f"error: lambda must be positive and finite, got {float(argv[-1])}")
     assert [str(w.message) for w in recwarn] == []  # no warning printed beside it
     assert "Traceback" not in err
     assert list(workdir.iterdir()) == []  # no CSV, no SVG, no temp file

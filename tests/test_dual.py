@@ -338,7 +338,7 @@ def test_batch_oracle_matches_reference(oracle_problems, kind, lam, data):
         etas[i] = lo + clamp_at[i] * (hi - lo)
 
     batch = problem.sample_batch(theta, idx)
-    values, theta_grads, eta_grads = batch_oracle(ctx, *batch, etas)
+    values, theta_grads, eta_grads = batch_oracle(ctx.lam, *batch, etas)
     assert (values.shape, theta_grads.shape, eta_grads.shape) == ((m,), (n, m), (m,))
     for i, (losses, grads) in enumerate(refs):
         assert np.array_equal(batch[0][i], losses)

@@ -173,6 +173,18 @@ def test_pareto_filter_row_chunks_match_brute_force(monkeypatch, budget):
         assert pareto_filter(pts) == pareto_brute_force(pts)
 
 
+@pytest.mark.parametrize("budget", [1, 16, 100])
+@pytest.mark.parametrize("rows, cols", [(1, 1), (7, 3), (41, 30), (50, 50)])
+def test_row_chunks_cover_the_rows_within_the_budget(monkeypatch, budget, rows, cols):
+    # outputs do not depend on the block size, so only the shapes show it
+    monkeypatch.setattr(metrics, "CHUNK_ELEMENTS", budget)
+    chunks = metrics._row_chunks(rows, cols)
+    assert [c.start for c in chunks] == [0] + [c.stop for c in chunks[:-1]]
+    assert chunks[-1].stop == rows
+    assert all((c.stop - c.start) * cols <= budget or c.stop - c.start == 1 for c in chunks)
+    assert all(c.stop - c.start == max(1, budget // cols) for c in chunks[:-1])
+
+
 def test_pareto_two_objectives_signed_zeros_and_repeats():
     # -0.0 == 0.0, so (-0.0, 1) repeats (0.0, 1): the first occurrence stays,
     # with its own sign, and later repeats of any point go

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -642,12 +643,26 @@ def test_lockstep_seeds_equal_solo_runs(run, make_cfg, kind):
 
 
 @pytest.mark.parametrize("run,make_cfg", ALL_SOLVERS)
+def test_wall_ms_is_the_clock_since_the_start_in_milliseconds(run, make_cfg, monkeypatch):
+    # a clock that starts far from 0 and advances 0.25 s per read: every
+    # expected value is exact, so a start added instead of subtracted, or a
+    # scale off by one ulp, fails
+    reads = iter(1000.0 + 0.25 * np.arange(1000))
+    monkeypatch.setattr(solvers, "time", types.SimpleNamespace(perf_counter=reads.__next__))
+    problem = _problem()
+    cfg = make_cfg(seeds=(0, 1))
+    for tr in run(cfg, problem, _ctx(problem)):
+        assert tr.wall_ms.tolist() == [250.0 * (t + 1) for t in range(cfg.T)]
+    assert next(reads) == 1000.0 + 0.25 * (cfg.T + 1)  # one read at the start, one per step
+
+
+@pytest.mark.parametrize("run,make_cfg", ALL_SOLVERS)
 def test_one_oracle_call_per_step_for_all_seeds(run, make_cfg, monkeypatch):
     shapes = []
 
-    def counted(ctx, losses, slopes, rows, etas):
+    def counted(lam, losses, slopes, rows, etas):
         shapes.append(etas.shape)
-        return oracle(ctx, losses, slopes, rows, etas)
+        return oracle(lam, losses, slopes, rows, etas)
 
     oracle = solvers.batch_oracle
     monkeypatch.setattr(solvers, "batch_oracle", counted)
@@ -689,6 +704,36 @@ def test_block_draws_equal_per_step_draws(role, high, size, budget, monkeypatch)
     ]).reshape(steps, 2, 4, size)
     assert np.array_equal(block, per_step[:, 0, 1])
     assert np.array_equal(got, per_step)
+
+
+@pytest.mark.parametrize("size", [1, 3, 20])
+@pytest.mark.parametrize("budget", [1, 64, 1000])
+def test_index_steps_draws_at_most_the_element_budget_per_call(monkeypatch, size, budget):
+    # a call of each of the 8 streams draws c steps of size indices; the
+    # block held for them is at most the budget, or one step when one step
+    # alone is over it
+    monkeypatch.setattr(solvers, "DRAW_ELEMENTS", budget)
+    calls = []
+
+    class Spy:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def integers(self, low, high, size):
+            calls.append(size)
+            return self.rng.integers(low, high, size=size)
+
+    stream = solvers.make_stream
+    monkeypatch.setattr(solvers, "make_stream", lambda *key: Spy(stream(*key)))
+    steps = 2 * DRAW_CHUNK + 7
+    blocks = list(_index_steps((3, 8), (ROLE_Y, ROLE_Z), 2, 100, size, steps))
+    assert len(blocks) == steps and {b.shape for b in blocks} == {(2, 4, size)}
+    one_step = 8 * size
+    chunk = min(DRAW_CHUNK, max(1, budget // one_step))
+    assert {s[1] for s in calls} == {size}
+    assert all(c * one_step <= budget or c == 1 for c, _ in calls)
+    want = [chunk] * (steps // chunk) + ([steps % chunk] if steps % chunk else [])
+    assert [c for c, _ in calls[::8]] == want  # each stream in turn, full chunks first
 
 
 def test_make_stream_determinism_and_role_separation():
