@@ -257,13 +257,13 @@ def check_rescaled_fd() -> CheckResult:
         theta = rng.normal(0, 0.5, n)
         eta = rng.normal(0, 0.3, m)
         batches = [problem.per_sample(i, theta, idx[i]) for i in range(m)]
-        jac = dual.rescaled_grads(ctx, batches, theta, eta)
+        theta_grads, eta_grads = dual.rescaled_grads(ctx, batches, theta, eta)
         for i in range(m):
             losses = batches[i][0]
             up = dual.dual_value(ctx, losses, scale * (eta[i] + h))
             dn = dual.dual_value(ctx, losses, scale * (eta[i] - h))
             fd = (up - dn) / (2 * h)
-            worst = max(worst, abs(jac.eta_grads[i] - fd) / max(1.0, abs(fd)))
+            worst = max(worst, abs(eta_grads[i] - fd) / max(1.0, abs(fd)))
         k = int(rng.integers(n))
         tp, tm = theta.copy(), theta.copy()
         tp[k] += h
@@ -272,7 +272,7 @@ def check_rescaled_fd() -> CheckResult:
             up = dual.dual_value(ctx, problem.per_sample(i, tp, idx[i])[0], scale * eta[i])
             dn = dual.dual_value(ctx, problem.per_sample(i, tm, idx[i])[0], scale * eta[i])
             fd = (up - dn) / (2 * h)
-            worst = max(worst, abs(jac.theta_grads[k, i] - fd) / max(1.0, abs(fd)))
+            worst = max(worst, abs(theta_grads[k, i] - fd) / max(1.0, abs(fd)))
     return CheckResult("rescaled-gradient-fd", worst <= 1e-5, f"max rel err {worst:.2e}")
 
 
@@ -328,15 +328,13 @@ def check_stationarity_chain(trials=100) -> CheckResult:
             dual.grad_theta(ctx, gr, lo, eta[i]) for i, (lo, gr) in enumerate(evals)
         ])
         egr = np.array([dual.grad_eta(ctx, lo, eta[i]) for i, (lo, _) in enumerate(evals)])
-        jac = dual.ObjectiveJacobian(cols, egr)
-        sur = metrics.surrogate_stationarity(jac, w, g_here)
+        sur = metrics.surrogate_stationarity(cols, egr, w, g_here)
         _, phi_jac = dual.phi_oracle(ctx, problem, theta)
         slack_upper = min(slack_upper, sur - float(np.linalg.norm(phi_jac @ w)))
         # stacked rescaled-gradient norm at the matching rescaled dual point
-        rjac = dual.rescaled_grads(ctx, evals, theta, eta / ctx.eta_scale)
+        r_theta, r_eta = dual.rescaled_grads(ctx, evals, theta, eta / ctx.eta_scale)
         stacked = np.sqrt(
-            float(np.linalg.norm(rjac.theta_grads @ w)) ** 2
-            + float(np.sum((rjac.eta_grads * w) ** 2))
+            float(np.linalg.norm(r_theta @ w)) ** 2 + float(np.sum((r_eta * w) ** 2))
         )
         rhs = float(np.linalg.norm(cols @ w)) + g_here * float(np.linalg.norm(egr * w))
         slack_lower = min(slack_lower, np.sqrt(2.0) * stacked - rhs)
@@ -358,11 +356,10 @@ def check_gradient_coupling(trials=200) -> CheckResult:
         evals = [problem.per_sample(i, theta) for i in range(m)]
         g_here = problems.estimate_lipschitz(problem, theta)
         ctx = dual.DualContext(lam=1.0, lipschitz_g=g_here, num_objectives=m)
-        jac = dual.rescaled_grads(ctx, evals, theta, eta)
+        theta_grads, eta_grads = dual.rescaled_grads(ctx, evals, theta, eta)
         for i in range(m):
             slack = min(
-                slack,
-                g_here + abs(jac.eta_grads[i]) - float(np.linalg.norm(jac.theta_grads[:, i])),
+                slack, g_here + abs(eta_grads[i]) - float(np.linalg.norm(theta_grads[:, i]))
             )
     return CheckResult("rescaled-gradient-coupling", slack >= -1e-8, f"min slack {slack:.2e}")
 

@@ -56,7 +56,7 @@ from .problems import (
 )
 from .solvers import SOLVERS, samples_per_step
 from .svg import emit_svg_plot, emit_svg_scatter
-from .trace import _fmt, atomic_open, read_lines, write_trace
+from .trace import atomic_open, read_lines, write_trace
 
 _SOLVER_FNS = {name: run for name, (run, _) in SOLVERS.items()}
 
@@ -262,7 +262,7 @@ def run_experiment(runs, echo=print) -> int:
         with np.errstate(invalid="ignore"):  # the spread of an inf window is nan
             stats = (np.mean(inits), np.mean(finals), np.std(finals)) if finals else (np.nan,) * 3
         row = [cfg.name, cfg.problem, cfg.solver, " ".join(str(s) for s in cfg.seeds),
-               ";".join(bad) or "ok", *map(_fmt, stats), str(max(samples))]
+               ";".join(bad) or "ok", *("%.17g" % s for s in stats), str(max(samples))]
         by_dir.setdefault(cfg.output_dir, []).append(",".join(row))
 
     for outdir, rows in by_dir.items():
@@ -294,7 +294,7 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out)
     header = [f"x{j + 1}" for j in range(x.shape[1])]
     header += [f"y{i + 1}" for i in range(problem.num_objectives)]
-    row = ",".join(["%.17g"] * len(header)) + "\n"  # %.17g writes a float as _fmt does
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with atomic_open(out) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(row % tuple(r.tolist()) for r in np.column_stack((x, y)))
@@ -433,7 +433,3 @@ def main(argv=None) -> int:
         return 128 + signal.SIGINT
     finally:
         signal.signal(signal.SIGTERM, previous)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

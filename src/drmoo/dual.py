@@ -18,11 +18,11 @@ This module provides the conjugate, the dual value, its stochastic gradients
 in theta and eta, the gradients of the rescaled objective
 Lhat(theta, eta) = L(theta, G*sqrt(m)*eta), and exact full-batch oracles
 (the closed-form dual minimizer, robust values and gradients) for tests and
-metrics; each takes one objective's loss batch (exact_dual_min also a block
-of batches) and rejects an empty, misshapen or non-finite one. They are the
-reference for batch_oracle, the solvers' fusion of all three for all m. The
-kernels batch_oracle, chi_weights and _sorted_dual_min read only lambda, so
-they take it alone rather than a DualContext.
+metrics; each takes one objective's 1-d loss batch and rejects an empty,
+misshapen or non-finite one. They are the reference for batch_oracle, the
+solvers' fusion of all three for all m. The kernels batch_oracle,
+chi_weights and _sorted_dual_min read only lambda, so they take it alone
+rather than a DualContext.
 
 All expectations are plug-in empirical means over the supplied batch; the
 caller owns sampling and randomness.
@@ -30,7 +30,6 @@ caller owns sampling and randomness.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,30 +82,16 @@ class DualContext:
         return self.lipschitz_g * math.sqrt(self.num_objectives)
 
 
-class ObjectiveJacobian(NamedTuple):
-    """Stacked first-order information of all m objectives at one point.
-
-    theta_grads: (n, m), column i is the theta-gradient of objective i.
-    eta_grads: (m,), entry i is the gradient in the scalar dual eta^i
-    (the eta block of the full jacobian is diagonal, so a vector suffices).
-    """
-
-    theta_grads: np.ndarray
-    eta_grads: np.ndarray
-
-
-def _as_batch(losses, block=False) -> np.ndarray:
+def _as_batch(losses) -> np.ndarray:
     losses = np.asarray(losses, dtype=float)
-    if losses.ndim != 1 and not (block and losses.ndim == 2):
-        or_block = " or an (r, B) block" if block else ""
-        raise ValueError(f"losses must be a 1-d batch{or_block}, got shape {losses.shape}")
+    if losses.ndim != 1:
+        raise ValueError(f"losses must be a 1-d batch, got shape {losses.shape}")
     if losses.size == 0:
         raise ValueError("empty batch")
     finite = np.isfinite(losses)
     if not finite.all():
-        where = np.unravel_index(np.argmin(finite), losses.shape)
-        at = f"row {where[0]}, index {where[1]}" if losses.ndim == 2 else f"index {where[0]}"
-        raise ValueError(f"non-finite loss at {at}: {losses[where]}")
+        j = int(np.argmin(finite))
+        raise ValueError(f"non-finite loss at index {j}: {losses[j]}")
     return losses
 
 
@@ -173,7 +158,7 @@ def batch_oracle(lam: float, losses, slopes, rows, etas):
     return values, theta_grads, 1.0 - 0.5 * u.sum(axis=-1) / b
 
 
-def rescaled_grads(ctx: DualContext, batches, theta, eta) -> ObjectiveJacobian:
+def rescaled_grads(ctx: DualContext, batches, theta, eta):
     """Gradients of the rescaled objective Lhat(theta, eta) = L(theta, s*eta),
     s = G*sqrt(m).
 
@@ -183,6 +168,10 @@ def rescaled_grads(ctx: DualContext, batches, theta, eta) -> ObjectiveJacobian:
 
     batches: sequence of (losses, per_sample_grads) pairs, one per objective,
     all evaluated at theta.
+
+    Returns (theta_grads, eta_grads): an (n, m) matrix with column i the
+    theta-gradient of objective i, and an m-vector with entry i the gradient
+    in eta^i (the eta block of the jacobian is diagonal).
     """
     theta = np.asarray(theta, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -204,12 +193,12 @@ def rescaled_grads(ctx: DualContext, batches, theta, eta) -> ObjectiveJacobian:
         eta_eff = scale * eta[i]
         cols[:, i] = grad_theta(ctx, grads, losses, eta_eff)
         egrads[i] = scale * grad_eta(ctx, losses, eta_eff)
-    return ObjectiveJacobian(cols, egrads)
+    return cols, egrads
 
 
-def exact_dual_min(ctx: DualContext, losses):
-    """The minimizer eta* of dual_value over eta, in closed form: a float for
-    a 1-d batch, an (r,) array for an (r, B) block of r batches.
+def exact_dual_min(ctx: DualContext, losses) -> float:
+    """The minimizer eta* of dual_value over eta for one 1-d batch, in
+    closed form.
 
     grad_eta(eta) = 1 - sum_j (l_j - eta + 2*lambda)_+ / (2*lambda*B) is
     piecewise linear and nondecreasing, so its root follows from the same
@@ -219,21 +208,19 @@ def exact_dual_min(ctx: DualContext, losses):
     active set is the largest k with u_k > eta_k - 2*lambda (k = 1 always
     qualifies). The sums are taken relative to u_1, which keeps the rounding
     at the scale of the spread rather than of the losses and returns a
-    constant batch's constant exactly. A block is solved along its rows, row
-    i bit for bit as exact_dual_min(ctx, losses[i]).
+    constant batch's constant exactly.
     """
-    losses = _as_batch(losses, block=True)
-    u = np.sort(np.atleast_2d(losses), axis=1)
+    u = np.sort(_as_batch(losses))[None]
     gap, eta = np.empty((2, *u.shape))
-    eta_star = _sorted_dual_min(ctx.lam, u, gap, eta, np.empty(u.shape, dtype=bool))
-    return float(eta_star[0]) if losses.ndim == 1 else eta_star
+    return float(_sorted_dual_min(ctx.lam, u, gap, eta, np.empty(u.shape, dtype=bool))[0])
 
 
 def _sorted_dual_min(lam: float, u, gap, eta, mask):
     """exact_dual_min's closed form on the rows of u, an (r, B) block of
     finite losses, each row sorted ascending; unchecked, for callers that
-    sort into their own buffers. u is overwritten, and gap, eta (float) and
-    mask (bool) are (r, B) work buffers; all four must be C-ordered."""
+    sort into their own buffers. Row i is bit for bit exact_dual_min of that
+    row. u is overwritten, and gap, eta (float) and mask (bool) are (r, B)
+    work buffers; all four must be C-ordered."""
     b = u.shape[1]
     top = u[:, -1].copy()
     np.subtract(u[:, ::-1], top[:, None], out=gap)  # u_k - u_1, u descending
@@ -250,11 +237,11 @@ def phi_oracle(ctx: DualContext, problem, theta):
     """Exact robust values phi^i(theta) and their gradients, full batch.
 
     problem must expose per_sample(i, theta) -> (losses, per_sample_grads)
-    over objective i's full dataset, of one size N for all. One exact_dual_min
-    call on the (m, N) losses minimizes the dual scalars out; each value is
-    the dual objective at its minimizer, and the gradient is grad_theta there
-    (the eta-gradient vanishes at the minimizer, so this is the exact
-    gradient of phi). Intended for tests and metrics, not for the solvers.
+    over objective i's full dataset. exact_dual_min minimizes each dual
+    scalar out; each value is the dual objective at its minimizer, and the
+    gradient is grad_theta there (the eta-gradient vanishes at the minimizer,
+    so this is the exact gradient of phi). Intended for tests and metrics,
+    not for the solvers.
 
     Returns (values, jacobian): an m-vector and an (n, m) matrix.
     """
@@ -264,7 +251,7 @@ def phi_oracle(ctx: DualContext, problem, theta):
         raise ValueError(
             f"problem has {len(evals)} objectives, context expects {ctx.num_objectives}"
         )
-    eta_star = exact_dual_min(ctx, np.stack([losses for losses, _ in evals]))
+    eta_star = [exact_dual_min(ctx, losses) for losses, _ in evals]
     values = np.array([dual_value(ctx, loss, e) for (loss, _), e in zip(evals, eta_star)])
     jac = np.column_stack([grad_theta(ctx, g, loss, e) for (loss, g), e in zip(evals, eta_star)])
     return values, jac

@@ -3,7 +3,8 @@
 The balanced gradient norm ||sum_i w^i g_i|| measures Pareto stationarity of
 the robust objectives; the stationarity surrogate adds the dual-gradient
 term G * sum_i w^i |d/d eta^i| that upper-bounds the bias of evaluating the
-theta-gradients away from the exact dual minimizers.
+theta-gradients away from the exact dual minimizers. Both take the plain
+arrays that dual.rescaled_grads returns.
 The Pareto filter keeps a point iff no point before it in a stable
 lexicographic sort is <= it everywhere: a prefix minimum of f2 for two
 objectives (O(k log k)), row chunks of comparisons for more.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import ObjectiveJacobian, _sorted_dual_min, chi_weights
+from .dual import _sorted_dual_min, chi_weights
 from .dual import dual_value, exact_dual_min  # noqa: F401 (re-exported for the benchmark's tracer)
 from .problems import ToySpec, perturbation_draws, toy_objectives
 from .problems import perturbation_ensemble  # noqa: F401 (re-exported for the benchmark's tracer)
@@ -24,9 +25,9 @@ from .problems import perturbation_ensemble  # noqa: F401 (re-exported for the b
 CHUNK_ELEMENTS = 1 << 15
 
 
-def balanced_grad_norm(jac: ObjectiveJacobian, w) -> float:
-    """||sum_i w^i * theta_grad_i||, the Pareto stationarity measure."""
-    theta_grads = np.asarray(jac.theta_grads, dtype=float)
+def balanced_grad_norm(theta_grads, w) -> float:
+    """||sum_i w^i * theta_grad_i|| of (n, m) theta_grads, the Pareto stationarity measure."""
+    theta_grads = np.asarray(theta_grads, dtype=float)
     w = np.asarray(w, dtype=float)
     if theta_grads.ndim != 2 or theta_grads.shape[1] != w.shape[0]:
         raise ValueError(
@@ -35,7 +36,7 @@ def balanced_grad_norm(jac: ObjectiveJacobian, w) -> float:
     return float(np.linalg.norm(theta_grads @ w))
 
 
-def surrogate_stationarity(jac: ObjectiveJacobian, w, lipschitz_g: float) -> float:
+def surrogate_stationarity(theta_grads, eta_grads, w, lipschitz_g: float) -> float:
     """G * sum_i w^i |eta_grad_i| + ||sum_i w^i theta_grad_i||.
 
     Upper bound on the balanced gradient norm of the exact robust
@@ -45,13 +46,13 @@ def surrogate_stationarity(jac: ObjectiveJacobian, w, lipschitz_g: float) -> flo
     """
     if lipschitz_g <= 0:
         raise ValueError(f"G must be positive, got {lipschitz_g}")
-    eta_grads = np.asarray(jac.eta_grads, dtype=float)
+    eta_grads = np.asarray(eta_grads, dtype=float)
     w = np.asarray(w, dtype=float)
     if eta_grads.shape != w.shape:
         raise ValueError(
             f"eta gradients of shape {eta_grads.shape} do not match w of shape {w.shape}"
         )
-    return lipschitz_g * float(np.sum(w * np.abs(eta_grads))) + balanced_grad_norm(jac, w)
+    return lipschitz_g * float(np.sum(w * np.abs(eta_grads))) + balanced_grad_norm(theta_grads, w)
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def pareto_filter(points):
     return [points[i] for i in _pareto_keep(values).tolist()]
 
 
-def robust_frontier(spec: ToySpec, num_draws: int = 200, lam: float = 1.0, seed: int = 0):
+def robust_frontier(spec: ToySpec, num_draws: int, lam: float, seed: int):
     """Nominal and robust Pareto frontiers of the perturbed toy pair on spec.grid.
 
     For every theta on the grid, the nominal values come straight from

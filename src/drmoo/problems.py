@@ -440,7 +440,7 @@ def perturbation_draws(spec: ToySpec, num_draws: int, seed: int) -> np.ndarray:
     return base + spec.perturbation_std * shifts[:, [0, 2, 1, 3]]
 
 
-def toy_problem(spec: ToySpec, num_draws: int = 200, seed: int = 0) -> MultiTaskProblem:
+def toy_problem(spec: ToySpec, num_draws: int, seed: int) -> MultiTaskProblem:
     """The toy pair as a 2-objective, 1-parameter MultiTaskProblem.
 
     Each objective's dataset is the perturbation ensemble: sample j of

@@ -47,7 +47,8 @@ def _ticks_linear(lo, hi):
 def emit_svg_plot(trace_paths, metric: str, out_path) -> Path:
     """Log-y line plot of one trace column versus iteration.
 
-    One polyline per trace file, legend labelled by file stem.
+    One polyline per trace file, legend labelled by file stem. An unknown
+    column or a non-finite iter raises ValueError naming the file.
     """
     trace_paths = [Path(p) for p in trace_paths]
     if not trace_paths:
@@ -57,6 +58,8 @@ def emit_svg_plot(trace_paths, metric: str, out_path) -> Path:
         cols = read_trace(p)
         if metric not in cols:
             raise ValueError(f"unknown column: {metric!r} (file {p} has {list(cols)})")
+        if not np.isfinite(cols["iter"]).all():
+            raise ValueError(f"non-finite iter (file {p})")
         series.append((p.stem, cols["iter"], cols[metric]))
 
     pos = [v for _, _, ys in series for v in ys if v > 0 and math.isfinite(v)]

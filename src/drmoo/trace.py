@@ -26,10 +26,6 @@ def trace_header(m: int):
     )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 @contextmanager
 def atomic_open(path):
     """Open path for writing text through a temp file in the same directory.
@@ -74,8 +70,7 @@ def write_trace(trace, path) -> Path:
     """Write a solvers.RunTrace as CSV (schema above), numbering its rows
     0..T-1 in the iter column; returns the path.
 
-    Each row is one %-format of its two integers and its reals, and %.17g
-    writes a float as _fmt does (tests pin this)."""
+    Each row is one %-format of its two integers and its reals."""
     path = Path(path)
     m = trace.num_objectives
     row = "%d,%d" + ",%.17g" * (3 * m + 3) + "\n"

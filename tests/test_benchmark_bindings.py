@@ -9,6 +9,7 @@ breaks them fails these tests rather than only the benchmark run.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from drmoo import cli, dual, metrics, solvers
@@ -65,3 +66,14 @@ def test_verify_sample_counts_match_the_solver_configs(bench, preset):
         solver_cfg = build_solver_config(cfg, cfg.seeds)
         want = solver_cfg.T * samples_per_step(cfg.solver, solver_cfg, 3)
         assert verify.expected_samples(cfg, 3) == want, cfg.name
+
+
+def test_verify_accepts_a_pareto_toy_run(bench, tmp_path):
+    # verify.toy_frontiers recomputes the frontier through exact_dual_min on
+    # column views, so this runs the benchmark's toy output check in tier-1
+    _, verify = bench
+    out_csv, out_svg = tmp_path / "toy.csv", tmp_path / "toy.svg"
+    assert cli.main(["pareto-toy", "--grid=-1:3:41", "--draws=30", "--std=0.5", "--lambda=1.0",
+                     "--seed=3", f"--out-csv={out_csv}", f"--out-svg={out_svg}"]) == 0
+    expected = verify.toy_frontiers(0.5, 30, 1.0, np.linspace(-1.0, 3.0, 41), 3)
+    assert verify.toy_problem(out_csv, out_svg, expected) is None

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drmoo import checks, cli, dual, metrics, problems, simplex
 from drmoo.checks import CheckResult
@@ -170,7 +172,7 @@ def _serial_reference(runs, outdir):
         with np.errstate(invalid="ignore"):  # as in run_experiment
             stats = (np.mean(inits), np.mean(finals), np.std(finals))
         row = [cfg.name, cfg.problem, cfg.solver, " ".join(map(str, cfg.seeds)),
-               ";".join(bad) or "ok", *map(cli._fmt, stats), str(max(samples))]
+               ";".join(bad) or "ok", *(format(v, ".17g") for v in stats), str(max(samples))]
         summaries.setdefault(cfg.output_dir, [cli.SUMMARY_HEADER]).append(",".join(row))
     return {d: "\n".join(rows) + "\n" for d, rows in summaries.items()}
 
@@ -678,6 +680,13 @@ def test_plot_unknown_column(workdir, capsys):
     capsys.readouterr()
     assert cli.main(["plot", "bogus", "cmp.svg", str(t0)]) == 1
     assert "unknown column: 'bogus'" in capsys.readouterr().err
+    # a non-finite iter is refused the same way, naming its file, before any SVG
+    for value in ("nan", "inf"):
+        trace = _constant_trace(workdir / "a.csv", 0.25, rows=2)
+        trace.write_text(trace.read_text().replace("\n1,", f"\n{value},"))
+        assert cli.main(["plot", "balanced_grad", "p.svg", str(trace)]) == 1
+        assert capsys.readouterr().err == f"error: non-finite iter (file {trace})\n"
+        assert not (workdir / "p.svg").exists()
 
 
 def test_plot_missing_file(workdir, capsys):
@@ -927,3 +936,55 @@ def test_overflowing_eta_scale_fails_before_any_job(workdir, capsys):
     assert re.fullmatch(r"error: \[run\.a\]: lipschitz_g \* sqrt\(m\) overflows, "
                         r"got lipschitz_g = 1\.5e\+308\n", err)
     assert list(workdir.iterdir()) == [workdir / "exp.cfg"]  # no trace, no summary
+
+
+STEP_KEYS = {"double_loop": ("alpha", "beta", "gamma"), "double_clip": ("gamma", "beta"),
+             "mgda": ("lr", "beta"), "modo": ("lr", "beta")}
+
+
+@st.composite
+def _extreme_run(draw):
+    """(problem, solver, key, value) with one key at an extreme finite value."""
+    problem = draw(st.sampled_from(["toy", "linear"]))
+    solver = draw(st.sampled_from(sorted(STEP_KEYS)))
+    keys = [st.tuples(st.sampled_from(("lambda", "g", "rho") + STEP_KEYS[solver]),
+                      st.sampled_from(["5e-324", "1e-308", "1e+308"])),
+            st.just(("data_seed", str(2**64)))]
+    if problem == "toy":
+        keys.append(st.just(("toy_std", "1e150")))
+    return (problem, solver, *draw(st.one_of(keys)))
+
+
+@settings(deadline=None, max_examples=20)
+@given(run=_extreme_run(), seed=st.integers(0, 3), steps=st.integers(1, 3),
+       draws=st.integers(1, 5))
+def test_run_at_extreme_finite_values_exits_cleanly(tmp_path_factory, run, seed, steps, draws):
+    # drmoo run end to end in its own process: one seed, so one worker
+    problem, solver, key, value = run
+    workdir = tmp_path_factory.mktemp("extreme")
+    block = f"[run.x]\nproblem = {problem}\nsolver = {solver}\nseeds = {seed}\nT = {steps}\n"
+    if problem == "toy":
+        block += f"toy_draws = {draws}\n"
+    _write(workdir / "exp.cfg", f"output_dir = out\n{block}{key} = {value}\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "drmoo", "run", "exp.cfg"], cwd=workdir,
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr, proc.stderr
+    out = workdir / "out"
+    files = {p.name for p in out.iterdir()} if out.exists() else set()
+    assert files <= {"summary.csv", f"x_seed{seed}.csv"}  # no temp file left
+    if f"x_seed{seed}.csv" in files:
+        text = (out / f"x_seed{seed}.csv").read_text()
+        lines = text.splitlines()
+        assert text.endswith("\n") and lines[0].startswith("iter,samples,wall_ms,")
+        assert [line.split(",")[0] for line in lines[1:]] == [str(t) for t in range(len(lines) - 1)]
+        assert 1 <= len(lines) - 1 <= steps
+        assert {line.count(",") for line in lines} == {lines[0].count(",")}
+    if "summary.csv" in files:
+        text = (out / "summary.csv").read_text()
+        header, row = text.splitlines()
+        assert text.endswith("\n") and header == cli.SUMMARY_HEADER
+        assert row.count(",") == header.count(",") and row.startswith(f"x,{problem},{solver},")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from drmoo import metrics
 from drmoo.checks import dual_min_bisect, pareto_brute_force
-from drmoo.dual import DualContext, ObjectiveJacobian, dual_value, exact_dual_min, grad_eta
+from drmoo.dual import DualContext, dual_value, exact_dual_min, grad_eta
 from drmoo.metrics import (
     FrontierPoint,
     balanced_grad_norm,
@@ -25,38 +25,32 @@ from conftest import rng
 
 
 def test_balanced_grad_norm_examples():
-    jac = ObjectiveJacobian(np.eye(2), np.zeros(2))
-    assert balanced_grad_norm(jac, [1.0, 0.0]) == 1.0
-    assert balanced_grad_norm(jac, [0.5, 0.5]) == pytest.approx(np.sqrt(0.5))
-    zero = ObjectiveJacobian(np.zeros((4, 3)), np.zeros(3))
-    assert balanced_grad_norm(zero, [0.2, 0.3, 0.5]) == 0.0
+    assert balanced_grad_norm(np.eye(2), [1.0, 0.0]) == 1.0
+    assert balanced_grad_norm(np.eye(2), [0.5, 0.5]) == pytest.approx(np.sqrt(0.5))
+    assert balanced_grad_norm(np.zeros((4, 3)), [0.2, 0.3, 0.5]) == 0.0
 
 
 def test_balanced_grad_norm_dimension_mismatch():
-    jac = ObjectiveJacobian(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError, match="does not match"):
-        balanced_grad_norm(jac, [1.0, 0.0, 0.0])
+        balanced_grad_norm(np.eye(2), [1.0, 0.0, 0.0])
 
 
 def test_surrogate_examples():
+    w = [0.5, 0.5]
     # zero eta-gradients: reduces to the balanced norm
-    jac = ObjectiveJacobian(np.eye(2), np.zeros(2))
-    assert surrogate_stationarity(jac, [0.5, 0.5], 2.0) == balanced_grad_norm(
-        jac, [0.5, 0.5]
+    assert surrogate_stationarity(np.eye(2), np.zeros(2), w, 2.0) == balanced_grad_norm(
+        np.eye(2), w
     )
     # zero theta block: G * sum w |eta grads| remains
-    jac = ObjectiveJacobian(np.zeros((3, 2)), np.array([1.0, -1.0]))
-    assert surrogate_stationarity(jac, [0.5, 0.5], 2.0) == 2.0
-    zero = ObjectiveJacobian(np.zeros((3, 2)), np.zeros(2))
-    assert surrogate_stationarity(zero, [0.5, 0.5], 2.0) == 0.0
+    assert surrogate_stationarity(np.zeros((3, 2)), np.array([1.0, -1.0]), w, 2.0) == 2.0
+    assert surrogate_stationarity(np.zeros((3, 2)), np.zeros(2), w, 2.0) == 0.0
 
 
 def test_surrogate_validation():
-    jac = ObjectiveJacobian(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError, match="G must be positive"):
-        surrogate_stationarity(jac, [0.5, 0.5], 0.0)
+        surrogate_stationarity(np.eye(2), np.zeros(2), [0.5, 0.5], 0.0)
     with pytest.raises(ValueError, match="do not match"):
-        surrogate_stationarity(jac, [1.0, 0.0, 0.0], 1.0)
+        surrogate_stationarity(np.eye(2), np.zeros(2), [1.0, 0.0, 0.0], 1.0)
 
 
 def test_surrogate_equals_balanced_at_exact_minimizer(small_linear):
@@ -73,10 +67,10 @@ def test_surrogate_equals_balanced_at_exact_minimizer(small_linear):
         eta_star = exact_dual_min(ctx, losses)
         cols.append(grad_theta(ctx, grads, losses, eta_star))
         egr.append(grad_eta(ctx, losses, eta_star))
-    jac = ObjectiveJacobian(np.column_stack(cols), np.array(egr))
+    theta_grads = np.column_stack(cols)
     w = np.array([0.2, 0.3, 0.5])
-    assert surrogate_stationarity(jac, w, 5.0) == pytest.approx(
-        balanced_grad_norm(jac, w), abs=1e-10
+    assert surrogate_stationarity(theta_grads, np.array(egr), w, 5.0) == pytest.approx(
+        balanced_grad_norm(theta_grads, w), abs=1e-10
     )
 
 
@@ -211,7 +205,8 @@ def _frontiers(*args, **kwargs):
 
 def test_robust_frontier_returns_theta_and_value_arrays():
     grid = np.linspace(-1.0, 3.0, 41)
-    for theta, values in robust_frontier(ToySpec(grid=tuple(grid)), num_draws=20):
+    spec = ToySpec(grid=tuple(grid))
+    for theta, values in robust_frontier(spec, num_draws=20, lam=1.0, seed=0):
         assert theta.dtype == values.dtype == np.float64
         assert theta.ndim == 1 and values.shape == (theta.size, 2)
         assert np.isin(theta, grid).all() and (np.diff(theta) > 0).all()  # grid order
@@ -219,7 +214,7 @@ def test_robust_frontier_returns_theta_and_value_arrays():
 
 def test_robust_frontier_zero_std_coincides_with_nominal():
     spec = ToySpec(perturbation_std=0.0, grid=tuple(np.linspace(-1, 3, 41)))
-    nominal, robust = _frontiers(spec, num_draws=20)
+    nominal, robust = _frontiers(spec, num_draws=20, lam=1.0, seed=0)
     assert [p.theta for p in nominal] == [p.theta for p in robust]
     for a, b in zip(nominal, robust):
         assert a.values == pytest.approx(b.values, abs=1e-9)
@@ -227,14 +222,14 @@ def test_robust_frontier_zero_std_coincides_with_nominal():
 
 def test_robust_frontier_two_point_grid():
     spec = ToySpec(perturbation_std=0.0, grid=(0.0, 2.0))
-    nominal, _ = _frontiers(spec, num_draws=5)
+    nominal, _ = _frontiers(spec, num_draws=5, lam=1.0, seed=0)
     # each grid point minimizes one objective, so both survive
     assert [p.theta for p in nominal] == [0.0, 2.0]
 
 
 def test_robust_frontier_perturbation_changes_the_set():
     spec = ToySpec(perturbation_std=0.5, grid=tuple(np.linspace(-1, 3, 81)))
-    nominal, robust = _frontiers(spec, num_draws=100, seed=0)
+    nominal, robust = _frontiers(spec, num_draws=100, lam=1.0, seed=0)
     nom = {p.values for p in nominal}
     rob = {p.values for p in robust}
     assert nom != rob

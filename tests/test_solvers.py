@@ -14,7 +14,6 @@ from drmoo.checks import simplex_projection_oracle
 from drmoo.dual import (
     SMOOTHNESS_M,
     DualContext,
-    ObjectiveJacobian,
     conjugate_deriv,
     dual_value,
     grad_eta,
@@ -292,11 +291,13 @@ def test_double_clip_step_is_rescaled_grads():
     z_idx, = next(_index_steps(cfg.seeds, (ROLE_Z,), m, big_n, cfg.N2, 1))
     x_idx, = next(_index_steps(cfg.seeds, (ROLE_X,), m, big_n, cfg.N1, 1))
     z_batches = [problem.per_sample(i, theta, z_idx[i]) for i in range(m)]
-    zw = rescaled_grads(ctx, z_batches, theta, np.zeros(m)).eta_grads * w
+    _, z_eta_grads = rescaled_grads(ctx, z_batches, theta, np.zeros(m))
+    zw = z_eta_grads * w
     zw_norm = np.linalg.norm(zw)
     eta = -cfg.gamma * min(cfg.f1, cfg.f2 / zw_norm) * zw
     x_batches = [problem.per_sample(i, theta, x_idx[i]) for i in range(m)]
-    xw_norm = np.linalg.norm(rescaled_grads(ctx, x_batches, theta, eta).theta_grads @ w)
+    x_theta_grads, _ = rescaled_grads(ctx, x_batches, theta, eta)
+    xw_norm = np.linalg.norm(x_theta_grads @ w)
     np.testing.assert_allclose(tr.diagnostics["zw_norm"], [zw_norm], rtol=1e-12, atol=0)
     np.testing.assert_allclose(tr.eta[0], eta, rtol=1e-12, atol=0)
     np.testing.assert_allclose(tr.diagnostics["xw_norm"], [xw_norm], rtol=1e-12, atol=0)
@@ -494,7 +495,7 @@ def test_full_surrogate_matches_reference(theta, eta, w):
         losses, grads = problem.per_sample(i, theta)
         cols.append(grad_theta(ctx, grads, losses, eta[i]))
         egr.append(grad_eta(ctx, losses, eta[i]))
-    ref = surrogate_stationarity(ObjectiveJacobian(np.column_stack(cols), np.array(egr)), w, 3.0)
+    ref = surrogate_stationarity(np.column_stack(cols), np.array(egr), w, 3.0)
     got, = _full_surrogate(problem, ctx, theta[None], eta[None], w[None])
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12 * abs(ref))
 
@@ -523,8 +524,8 @@ def test_full_surrogate_seeds_match_reference_and_solo_calls(kind):
             losses, grads = problem.per_sample(i, theta[s])
             cols.append(grad_theta(ctx, grads, losses, eta[s, i]))
             egr.append(grad_eta(ctx, losses, eta[s, i]))
-        jac = ObjectiveJacobian(np.column_stack(cols), np.array(egr))
-        assert got[s] == pytest.approx(surrogate_stationarity(jac, w[s], 3.0), rel=1e-12, abs=0)
+        ref = surrogate_stationarity(np.column_stack(cols), np.array(egr), w[s], 3.0)
+        assert got[s] == pytest.approx(ref, rel=1e-12, abs=0)
         # a seed's value does not depend on the seeds beside it
         solo, = _full_surrogate(problem, ctx, theta[s:s + 1], eta[s:s + 1], w[s:s + 1])
         assert solo == got[s]

@@ -20,7 +20,6 @@ from drmoo.solvers import (
     RunTrace,
 )
 from drmoo.trace import (
-    _fmt,
     atomic_open,
     read_lines,
     read_trace,
@@ -84,7 +83,7 @@ REALS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | s
 @given(rows=st.integers(1, 4), m=st.integers(1, 4), data=st.data())
 def test_trace_rows_read_as_fmt_of_each_value(tmp_path_factory, rows, m, data):
     # write_trace formats a whole row at once; each field must be the text
-    # _fmt gives that value, signed zeros, subnormals, inf and nan included
+    # format(v, ".17g") gives that value, signed zeros, subnormals, inf and nan included
     def reals(*shape):
         n = int(np.prod(shape))
         return np.array(data.draw(st.lists(REALS, min_size=n, max_size=n))).reshape(shape)
@@ -99,7 +98,8 @@ def test_trace_rows_read_as_fmt_of_each_value(tmp_path_factory, rows, m, data):
     for t, line in enumerate(lines[1:-1]):
         values = [tr.wall_ms[t], *tr.losses[t], tr.balanced_grad[t], tr.surrogate_stat[t],
                   *tr.w[t], *tr.eta[t]]
-        assert line == ",".join([str(t), str(int(tr.samples[t])), *map(_fmt, values)])
+        fields = [str(t), str(int(tr.samples[t])), *(format(v, ".17g") for v in values)]
+        assert line == ",".join(fields)
     assert len(lines) == rows + 2
 
 
