@@ -11,6 +11,7 @@ The finite-difference check accepts an injectable eta-gradient so the
 caught (a mutation smoke test of the harness itself).
 """
 
+import copy
 import itertools
 from dataclasses import dataclass
 
@@ -398,21 +399,35 @@ def check_pareto_oracle() -> CheckResult:
 
 
 def check_clip_caps() -> CheckResult:
+    """double_clip's steps, measured from outside, obey both branches of its
+    clipped mins, ||d theta_t|| <= gamma min(c2, c1 ||X_t w_t||) and ||d eta_t||
+    <= gamma min(f2, f1 ||Z_t o w_t||), and every w is on the simplex. A tap on
+    sample_batch copies theta_t and the Z losses (the solver overwrites them),
+    which dual.grad_eta turns into Z_t; ||X_t w_t|| is balanced_grad."""
     problem = _linear_problem(seed=6, samples=200, dimension=4)
-    ctx = dual.DualContext(
-        lam=1.0, lipschitz_g=problems.estimate_lipschitz(problem), num_objectives=3
-    )
+    m = problem.num_objectives
+    ctx = dual.DualContext(lam=1.0, lipschitz_g=problems.estimate_lipschitz(problem),
+                           num_objectives=m)
     cfg = solvers.DoubleClipConfig(gamma=1e-2, beta=1e-2, rho=1e-5, c1=0.5, c2=0.1,
                                    f1=0.5, f2=0.1, N1=32, N2=32, T=60, seeds=(0,))
-    tr, = solvers.run_double_clip(cfg, problem, ctx)
-    dtheta = tr.diagnostics["theta_step"]
-    deta = tr.diagnostics["eta_step"]
-    # step norms obey both branches of the clipped min
+    tap, taken = copy.copy(problem), []
+
+    def sample_batch(theta, idx=None):
+        batch = problem.sample_batch(theta, idx)
+        taken.append((theta[0].copy(), batch[0][0].copy()))
+        return batch
+
+    tap.sample_batch = sample_batch
+    tr, = solvers.run_double_clip(cfg, tap, ctx)
+    thetas, z_losses = zip(*taken[::2])  # each step samples its Z batch first
+    etas, s = np.vstack([np.zeros(m), tr.eta]), ctx.eta_scale  # tr.eta[t] is eta_{t+1}
+    zw = [np.linalg.norm([s * dual.grad_eta(ctx, z[i], s * eta[i]) * w[i] for i in range(m)])
+          for z, eta, w in zip(z_losses, etas, tr.w)]
+    dtheta = np.linalg.norm(np.diff(thetas, axis=0), axis=1)
+    deta = np.linalg.norm(np.diff(etas, axis=0), axis=1)
     worst = max(
-        float((dtheta - cfg.gamma * cfg.c2).max()),
-        float((dtheta - cfg.gamma * cfg.c1 * tr.diagnostics["xw_norm"]).max()),
-        float((deta - cfg.gamma * cfg.f2).max()),
-        float((deta - cfg.gamma * cfg.f1 * tr.diagnostics["zw_norm"]).max()),
+        float((dtheta - cfg.gamma * np.minimum(cfg.c2, cfg.c1 * tr.balanced_grad[:-1])).max()),
+        float((deta - cfg.gamma * np.minimum(cfg.f2, cfg.f1 * np.array(zw))).max()),
     )
     on_simplex = all(
         abs(tr.w[t].sum() - 1.0) <= 1e-12 and tr.w[t].min() >= -1e-12 for t in range(len(tr))

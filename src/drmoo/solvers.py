@@ -87,15 +87,14 @@ class RunTrace:
     losses: (T, m) per-objective stochastic dual values at the iterate the
         logged parameter gradient was evaluated at.
     balanced_grad: (T,) norm of the stochastic parameter-gradient matrix
-        times w_t, i.e. the step direction magnitude actually used.
+        times w_t, i.e. the step direction magnitude actually used
+        (run_double_clip's ||X_t w_t||, which its theta step size clips).
     surrogate_stat: (T,) full-batch stationarity surrogate, refreshed every
         SURROGATE_EVERY iterations and carried forward in between.
     w: (T, m) preference vector entering the iteration.
     eta: (T, m) dual iterate the logged gradients were evaluated at (the
         solver's own parameterization; run_double_clip stores the rescaled
         variable).
-    diagnostics: solver-specific per-iteration arrays (clip factors, step
-        norms, ...).
     diverged_at: None, or the iteration whose update went non-finite; the
         trace then ends with that iteration's row.
     """
@@ -107,7 +106,6 @@ class RunTrace:
     surrogate_stat: np.ndarray
     w: np.ndarray
     eta: np.ndarray
-    diagnostics: dict
     diverged_at: int = None
 
     def __len__(self):
@@ -207,8 +205,9 @@ def _norms(x):
 
 
 def _clip(cap, threshold, norm):
-    """min(cap, threshold / norm) per entry, with x/0 = +inf in _mgda_loop (a zero
-    norm gets the cap) and, as Python's min gives it, the cap for a nan norm."""
+    """double_clip's step sizes min(cap, threshold / norm) per entry, with x/0 =
+    +inf in _mgda_loop (a zero norm gets the cap) and, as Python's min gives it,
+    the cap for a nan norm; drmoo check measures the steps they give."""
     q = threshold / norm
     return np.where(q < cap, q, cap)
 
@@ -247,18 +246,17 @@ def _full_surrogate(problem, ctx, theta, eta_eff, w) -> list:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # only the finite check reports
-def _mgda_loop(cfg, problem, ctx: DualContext, per_step, step, diagnostics) -> list:
+def _mgda_loop(cfg, problem, ctx: DualContext, per_step, step) -> list:
     """The outer iteration every solver shares, for each seed of cfg.seeds
     from theta = 0, eta = 0 and uniform w, for cfg.T steps that each consume
     per_step samples; returns one RunTrace per seed.
 
-    step(t, theta, eta, w) takes the (S, n), (S, m) and (S, m) states of the
+    step(theta, eta, w) takes the (S, n), (S, m) and (S, m) states of the
     S seeds and returns per-seed (losses, direction, lr, eta_log, eta_eff,
     eta_next, gram_w): theta moves by -lr * direction, eta becomes eta_next,
     and the preference step is w <- project(w - beta (gram_w + rho w)). The
     trace logs eta_log and the surrogate is taken at the pre-step theta and
-    the dual scalars eta_eff. step may fill column t of the (S, T)
-    diagnostics arrays. A seed whose update goes non-finite ends its trace
+    the dual scalars eta_eff. A seed whose update goes non-finite ends its trace
     with that step's row and keeps its last finite state; the others run on.
     """
     m = problem.num_objectives
@@ -276,7 +274,7 @@ def _mgda_loop(cfg, problem, ctx: DualContext, per_step, step, diagnostics) -> l
     diverged_at = [None] * n_seeds
     t0 = time.perf_counter()
     for t in range(steps):
-        losses, direction, lr, eta_log, eta_eff, eta_next, gram_w = step(t, theta, eta, w)
+        losses, direction, lr, eta_log, eta_eff, eta_next, gram_w = step(theta, eta, w)
         if t % SURROGATE_EVERY == 0:
             surrogate = _full_surrogate(problem, ctx, theta, eta_eff, w)
         wall_ms[t] = (time.perf_counter() - t0) * 1000.0
@@ -311,7 +309,6 @@ def _mgda_loop(cfg, problem, ctx: DualContext, per_step, step, diagnostics) -> l
             samples=per_step * np.arange(1, rows + 1, dtype=np.int64),
             wall_ms=wall_ms[:rows],
             **{name: arr[s, :rows] for name, arr in log.items()},
-            diagnostics={name: arr[s, :rows] for name, arr in diagnostics.items()},
             diverged_at=stop,
         ))
     return traces
@@ -337,7 +334,7 @@ def run_double_loop(cfg: DoubleLoopConfig, problem, ctx: DualContext) -> list:
     triples = _index_steps(cfg.seeds, (ROLE_INDEX,), 1, cfg.D, 3, cfg.T)
     seed_ax, objectives = np.arange(n_seeds)[:, None, None], np.arange(m)
 
-    def step(t, theta, eta, w):
+    def step(theta, eta, w):
         # (a) inner dual descent, one fresh sample per step per objective; the
         # final iterate warm-starts the next outer iteration
         losses = problem.sample_batch(theta, next(inner))[0].reshape(n_seeds * m, cfg.D)
@@ -354,7 +351,7 @@ def run_double_loop(cfg: DoubleLoopConfig, problem, ctx: DualContext) -> list:
         eta_y = etas[:, :m]
         return values[:, :m], _matvec(y_mat, w), cfg.alpha, eta_y, eta_y, eta_next, gram_w
 
-    return _mgda_loop(cfg, problem, ctx, samples_per_step("double_loop", cfg, m), step, {})
+    return _mgda_loop(cfg, problem, ctx, samples_per_step("double_loop", cfg, m), step)
 
 
 def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> list:
@@ -377,39 +374,26 @@ def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> list:
     scale = ctx.eta_scale
     zbat = _index_steps(cfg.seeds, (ROLE_Z,), m, problem.num_samples, cfg.N2, cfg.T)
     xbat = _index_steps(cfg.seeds, (ROLE_X,), m, problem.num_samples, cfg.N1, cfg.T)
-    diag = {
-        name: np.zeros((len(cfg.seeds), cfg.T))
-        for name in ("alpha_t", "mu_t", "theta_step", "eta_step", "xw_norm", "zw_norm")
-    }
 
-    def step(t, theta, eta, w):
+    def step(theta, eta, w):
         # eta block at eta_t: grad_eta of every objective, from the losses only
         z_losses = problem.sample_batch(theta, next(zbat))[0]
         u = chi_weights(ctx.lam, z_losses, scale * eta, out=z_losses)
         z_vec = scale * (1.0 - np.mean(0.5 * u, axis=-1))
         zw = z_vec * w
-        zw_norm = _norms(zw)
-        mu = _clip(cfg.f1, cfg.f2, zw_norm)
+        mu = _clip(cfg.f1, cfg.f2, _norms(zw))
         eta_next = eta - (cfg.gamma * mu)[:, None] * zw
 
         # theta block at the fresh dual iterate
         eta_eff = scale * eta_next
         loss_log, x_mat, _ = batch_oracle(ctx.lam, *problem.sample_batch(theta, next(xbat)), eta_eff)
         xw = _matvec(x_mat, w)
-        xw_norm = _norms(xw)
-        alpha = _clip(cfg.c1, cfg.c2, xw_norm)
-
-        diag["alpha_t"][:, t] = alpha
-        diag["mu_t"][:, t] = mu
-        diag["xw_norm"][:, t] = xw_norm
-        diag["zw_norm"][:, t] = zw_norm
-        diag["theta_step"][:, t] = cfg.gamma * alpha * xw_norm
-        diag["eta_step"][:, t] = cfg.gamma * mu * zw_norm
+        alpha = _clip(cfg.c1, cfg.c2, _norms(xw))
         gram_w = (alpha[:, None] * _matvec(x_mat.swapaxes(-1, -2), xw)
                   + mu[:, None] * (z_vec * z_vec * w))
         return loss_log, xw, (cfg.gamma * alpha)[:, None], eta_next, eta_eff, eta_next, gram_w
 
-    return _mgda_loop(cfg, problem, ctx, samples_per_step("double_clip", cfg, m), step, diag)
+    return _mgda_loop(cfg, problem, ctx, samples_per_step("double_clip", cfg, m), step)
 
 
 def _run_joint_baseline(cfg: BaselineConfig, problem, ctx, solver) -> list:
@@ -417,7 +401,7 @@ def _run_joint_baseline(cfg: BaselineConfig, problem, ctx, solver) -> list:
     roles = (ROLE_JOINT_A, ROLE_JOINT_B) if solver == "modo" else (ROLE_JOINT_A,)
     batches = _index_steps(cfg.seeds, roles, m, problem.num_samples, cfg.B, cfg.T)
 
-    def step(t, theta, eta, w):
+    def step(theta, eta, w):
         # one oracle call for batch A and, with double sampling, batch B; jb
         # and gb are ja and ga (the same arrays) when there is no batch B
         values, grads, egrads = batch_oracle(
@@ -427,7 +411,7 @@ def _run_joint_baseline(cfg: BaselineConfig, problem, ctx, solver) -> list:
         gram_w = _matvec(ja.swapaxes(-1, -2) @ jb, w) + (ga * gb) * w
         return values[:, :m], _matvec(ja, w), cfg.lr, eta, eta, eta - cfg.lr * (ga * w), gram_w
 
-    return _mgda_loop(cfg, problem, ctx, samples_per_step(solver, cfg, m), step, {})
+    return _mgda_loop(cfg, problem, ctx, samples_per_step(solver, cfg, m), step)
 
 
 def run_stochastic_mgda(cfg: BaselineConfig, problem, ctx: DualContext) -> list:

@@ -24,3 +24,21 @@ def small_logistic() -> MultiTaskProblem:
     probs = 1.0 / (1.0 + np.exp(-x[:, :4] @ g.standard_normal(4)))
     labels = [(g.random(150) < probs).astype(float) for _ in range(2)]
     return MultiTaskProblem(x, labels, LOSS_BCE)
+
+
+class SamplerRecorder:
+    """Problem proxy recording each theta handed to the stacked sampler and a
+    copy of the losses it returned (the solvers overwrite those in place)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.thetas, self.losses = [], []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def sample_batch(self, theta, idx=None):
+        self.thetas.append(np.array(theta, copy=True))
+        batch = self.inner.sample_batch(theta, idx)
+        self.losses.append(batch[0].copy())
+        return batch

@@ -47,6 +47,8 @@ from drmoo.problems import (
 from drmoo.simplex import project_simplex, validate_preference
 from drmoo.solvers import DoubleClipConfig, run_double_clip
 
+from conftest import SamplerRecorder
+
 
 def _report(num, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {detail}")
@@ -327,24 +329,9 @@ def test_criterion_08_wine_benchmark(tmp_path):
 # --- 9: double-clip step caps observed from outside --------------------------
 
 
-class _ThetaTap:
-    """Forwards to a problem while recording each theta handed to sampling."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.thetas = []
-
-    def sample_batch(self, theta, idx=None):
-        self.thetas.append(np.array(theta, copy=True))
-        return self._inner.sample_batch(theta, idx)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 def test_criterion_09_double_clip_step_caps():
     problem = gen_linear(LinearSpec(dimension=4, samples=120, seed=11))
-    tap = _ThetaTap(problem)
+    tap = SamplerRecorder(problem)
     ctx = DualContext(
         lam=1.0, lipschitz_g=estimate_lipschitz(problem), num_objectives=3
     )

@@ -945,11 +945,12 @@ STEP_KEYS = {"double_loop": ("alpha", "beta", "gamma"), "double_clip": ("gamma",
 @st.composite
 def _extreme_run(draw):
     """(problem, solver, key, value) with one key at an extreme finite value."""
-    problem = draw(st.sampled_from(["toy", "linear"]))
+    problem = draw(st.sampled_from(["toy", "linear", "wine"]))
     solver = draw(st.sampled_from(sorted(STEP_KEYS)))
     keys = [st.tuples(st.sampled_from(("lambda", "g", "rho") + STEP_KEYS[solver]),
-                      st.sampled_from(["5e-324", "1e-308", "1e+308"])),
-            st.just(("data_seed", str(2**64)))]
+                      st.sampled_from(["5e-324", "1e-308", "1e+308"]))]
+    if problem != "wine":  # the wine problem reads no data_seed
+        keys.append(st.just(("data_seed", str(2**64))))
     if problem == "toy":
         keys.append(st.just(("toy_std", "1e150")))
     return (problem, solver, *draw(st.one_of(keys)))
@@ -965,7 +966,9 @@ def test_run_at_extreme_finite_values_exits_cleanly(tmp_path_factory, run, seed,
     block = f"[run.x]\nproblem = {problem}\nsolver = {solver}\nseeds = {seed}\nT = {steps}\n"
     if problem == "toy":
         block += f"toy_draws = {draws}\n"
-    _write(workdir / "exp.cfg", f"output_dir = out\n{block}{key} = {value}\n")
+    if problem == "wine":
+        synthesize_wine_csv(workdir / "w.csv", rows=60)
+    _write(workdir / "exp.cfg", f"output_dir = out\nwine_path = w.csv\n{block}{key} = {value}\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "drmoo", "run", "exp.cfg"], cwd=workdir,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drmoo import solvers
+from drmoo import checks, solvers
 from drmoo.checks import simplex_projection_oracle
 from drmoo.dual import (
     SMOOTHNESS_M,
@@ -54,6 +54,8 @@ from drmoo.solvers import (
     run_stochastic_mgda,
 )
 
+from conftest import SamplerRecorder
+
 
 def _problem(seed=11, samples=120, dimension=4):
     return gen_linear(LinearSpec(dimension=dimension, samples=samples, seed=seed))
@@ -92,21 +94,6 @@ ALL_SOLVERS = [
     (run_stochastic_mgda, _bl_cfg),
     (run_modo, _bl_cfg),
 ]
-
-
-class _ThetaRecorder:
-    """Problem proxy capturing every theta handed to the stacked sampler."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.thetas = []
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def sample_batch(self, theta, idx=None):
-        self.thetas.append(np.array(theta, copy=True))
-        return self.inner.sample_batch(theta, idx)
 
 
 # --- config validation -------------------------------------------------------
@@ -241,18 +228,49 @@ def test_sample_accounting_baselines():
 # --- clipping ----------------------------------------------------------------
 
 
-def test_clip_rule_reconstructed_from_diagnostics():
+@pytest.mark.parametrize("c2, f1, f2, capped", [(0.1, 0.5, 0.1, False), (2.0, 0.1, 2.0, True)],
+                         ids=["thresholds-bind", "caps-bind"])
+def test_clip_rule_on_the_steps_taken(c2, f1, f2, capped):
+    # the steps double_clip takes, observed through its sampler and its trace:
+    # ||dtheta_t|| = gamma min(c1, c2/b_t) b_t with b_t = ||X_t w_t||, the
+    # trace's balanced_grad, and ||deta_t|| = gamma min(f1, f2/z_t) z_t with
+    # z_t = ||Z_t o w_t|| redone by grad_eta from the Z batch's recorded losses
     problem = _problem()
-    cfg = _dc_cfg(T=40)
-    tr, = run_double_clip(cfg, problem, _ctx(problem))
-    xw = tr.diagnostics["xw_norm"]
-    zw = tr.diagnostics["zw_norm"]
-    want_alpha = np.where(xw == 0.0, cfg.c1, np.minimum(cfg.c1, cfg.c2 / np.maximum(xw, 1e-300)))
-    want_mu = np.where(zw == 0.0, cfg.f1, np.minimum(cfg.f1, cfg.f2 / np.maximum(zw, 1e-300)))
-    assert np.array_equal(tr.diagnostics["alpha_t"], want_alpha)
-    assert np.array_equal(tr.diagnostics["mu_t"], want_mu)
-    assert np.all(tr.diagnostics["theta_step"] <= cfg.gamma * cfg.c2 + 1e-12)
-    assert np.all(tr.diagnostics["eta_step"] <= cfg.gamma * cfg.f2 + 1e-12)
+    recorder = SamplerRecorder(problem)
+    ctx = _ctx(problem)
+    cfg = _dc_cfg(T=40, c2=c2, f1=f1, f2=f2)
+    tr, = run_double_clip(cfg, recorder, ctx)
+    m, scale = problem.num_objectives, ctx.eta_scale
+    thetas = np.array([theta[0] for theta in recorder.thetas[::2]])  # Z batch first
+    etas = np.vstack([np.zeros(m), tr.eta])
+    b = tr.balanced_grad
+    z = np.array([
+        np.linalg.norm([scale * grad_eta(ctx, losses[0, i], scale * eta[i]) * w[i] for i in range(m)])
+        for losses, eta, w in zip(recorder.losses[::2], etas, tr.w)
+    ])
+    assert np.all(b > 0.0) and np.all(z > 0.0)
+    np.testing.assert_allclose(np.linalg.norm(np.diff(thetas, axis=0), axis=1),
+                               cfg.gamma * np.minimum(cfg.c1, cfg.c2 / b[:-1]) * b[:-1],
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.linalg.norm(np.diff(etas, axis=0), axis=1),
+                               cfg.gamma * np.minimum(cfg.f1, cfg.f2 / z) * z, rtol=1e-12, atol=0)
+    # the caps bind on some steps and the thresholds on the others, or never
+    for caps in (cfg.c2 / b > cfg.c1, cfg.f2 / z > cfg.f1):
+        assert (0 < caps.sum() < cfg.T) if capped else not caps.any()
+
+
+def test_clip_conventions():
+    # x/0 = +inf takes the cap, and so does a nan norm, as Python's min gives it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = solvers._clip(0.5, 0.1, np.array([0.0, np.nan, 0.4, 0.1]))
+    assert got.tolist() == [0.5, 0.5, min(0.5, 0.1 / 0.4), min(0.5, 0.1 / 0.1)]
+
+
+def test_clip_step_check_fails_on_unclipped_steps(monkeypatch):
+    # drmoo check's clip-step-caps measures the steps taken, so steps that
+    # always take the cap fail it
+    monkeypatch.setattr(solvers, "_clip", lambda cap, threshold, norm: np.full_like(norm, cap))
+    assert checks.check_clip_caps().passed is False
 
 
 def test_clip_eta_steps_bounded_in_trace():
@@ -266,14 +284,12 @@ def test_clip_eta_steps_bounded_in_trace():
 
 
 def test_zero_gradient_problem_freezes_double_clip():
-    # all-zero features and labels: X = Z = 0, so alpha = c1, mu = f1 and
-    # nothing moves (the x/0 = +inf convention picks the cap)
+    # all-zero features and labels: X = Z = 0, so nothing moves (the x/0 = +inf
+    # convention of test_clip_conventions picks the caps)
     problem = MultiTaskProblem(np.zeros((8, 2)), np.zeros((2, 8)), LOSS_SQUARED)
     ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=2)
     cfg = _dc_cfg(T=10)
     tr, = run_double_clip(cfg, problem, ctx)
-    assert np.all(tr.diagnostics["alpha_t"] == cfg.c1)
-    assert np.all(tr.diagnostics["mu_t"] == cfg.f1)
     assert np.array_equal(tr.eta, np.zeros((10, 2)))
     assert np.array_equal(tr.w, np.full((10, 2), 0.5))
     assert np.all(tr.balanced_grad == 0.0)
@@ -293,14 +309,12 @@ def test_double_clip_step_is_rescaled_grads():
     z_batches = [problem.per_sample(i, theta, z_idx[i]) for i in range(m)]
     _, z_eta_grads = rescaled_grads(ctx, z_batches, theta, np.zeros(m))
     zw = z_eta_grads * w
-    zw_norm = np.linalg.norm(zw)
-    eta = -cfg.gamma * min(cfg.f1, cfg.f2 / zw_norm) * zw
+    eta = -cfg.gamma * min(cfg.f1, cfg.f2 / np.linalg.norm(zw)) * zw
     x_batches = [problem.per_sample(i, theta, x_idx[i]) for i in range(m)]
     x_theta_grads, _ = rescaled_grads(ctx, x_batches, theta, eta)
     xw_norm = np.linalg.norm(x_theta_grads @ w)
-    np.testing.assert_allclose(tr.diagnostics["zw_norm"], [zw_norm], rtol=1e-12, atol=0)
     np.testing.assert_allclose(tr.eta[0], eta, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(tr.diagnostics["xw_norm"], [xw_norm], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(tr.balanced_grad, [xw_norm], rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("run, roles", [
@@ -312,7 +326,7 @@ def test_baseline_step_is_the_reference_oracle(run, roles):
     # and dual_value on its own A (and B) batches; T = 2 so that the trace's
     # second row and the sampler's second theta show the step's result
     problem = _problem()
-    recorder = _ThetaRecorder(problem)
+    recorder = SamplerRecorder(problem)
     ctx = _ctx(problem)
     cfg = _bl_cfg(T=2, B=16, lr=1e-2, beta=1e-3, seeds=(3,))
     tr, = run(cfg, recorder, ctx)
@@ -349,7 +363,7 @@ def test_double_loop_step_uses_the_unbiased_gram_estimator():
     # dual_value: the inner eta descent on single samples, then Y, Ybar and
     # Ytilde column by column; the preference step must use Ybar^T Ytilde
     problem = _problem()
-    recorder = _ThetaRecorder(problem)
+    recorder = SamplerRecorder(problem)
     ctx = _ctx(problem)
     cfg = _dl_cfg(T=2, D=5, B=16, alpha=1e-2, beta=1e-3, seeds=(3,))
     tr, = run_double_loop(cfg, recorder, ctx)
@@ -401,7 +415,7 @@ def test_constant_losses_freeze_theta_and_pull_eta():
     # dual minimizer (the constant), and w must stay uniform.
     c = 1.0
     problem = MultiTaskProblem(np.zeros((8, 2)), np.full((2, 8), np.sqrt(c)), LOSS_SQUARED)
-    recorder = _ThetaRecorder(problem)
+    recorder = SamplerRecorder(problem)
     ctx = DualContext(lam=1.0, lipschitz_g=1.0, num_objectives=2)
     cfg = _dl_cfg(T=80, D=10, gamma=0.1)
     tr, = run_double_loop(cfg, recorder, ctx)
@@ -551,7 +565,6 @@ def _one_huge_label_problem():
     return MultiTaskProblem(problem.features, labels, LOSS_SQUARED)
 
 
-CLIP_DIAGNOSTICS = {"alpha_t", "mu_t", "theta_step", "eta_step", "xw_norm", "zw_norm"}
 SIX_SEEDS = (0, 1, 2, 3, 4, 5)
 
 
@@ -563,11 +576,8 @@ def _assert_same_trace(got, want):
     """Every field but wall_ms equal bit for bit (nan payloads and signed
     zeros included)."""
     assert got.diverged_at == want.diverged_at
-    assert got.diagnostics.keys() == want.diagnostics.keys()
-    for name, values in want.diagnostics.items():
-        assert _same_bits(got.diagnostics[name], values), name
     for f in dataclasses.fields(got):
-        if f.name not in ("wall_ms", "diagnostics", "diverged_at"):
+        if f.name not in ("wall_ms", "diverged_at"):
             assert _same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
 
 
@@ -600,9 +610,9 @@ def test_divergence_carries_partial_trace(run, cfg, make_problem):
         assert 0 <= partial.diverged_at < cfg.T
         assert len(partial) == partial.diverged_at + 1
         assert np.all(np.diff(partial.samples) > 0)
-        assert set(partial.diagnostics) == (CLIP_DIAGNOSTICS if run is run_double_clip else set())
-        for values in partial.diagnostics.values():
-            assert len(values) == partial.diverged_at + 1
+        for f in dataclasses.fields(partial):
+            if f.name != "diverged_at":
+                assert len(getattr(partial, f.name)) == partial.diverged_at + 1, f.name
     stops = [tr.diverged_at for tr in traces]
     if len(traces) == 1:
         assert stops[0] is not None

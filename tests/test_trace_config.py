@@ -45,7 +45,6 @@ def _toy_trace(rows=4, m=3, seed=5):
         surrogate_stat=np.abs(r.standard_normal(rows)),
         w=np.full((rows, m), 1.0 / m),
         eta=r.standard_normal((rows, m)) * 0.01,
-        diagnostics={},
     )
 
 
@@ -91,7 +90,7 @@ def test_trace_rows_read_as_fmt_of_each_value(tmp_path_factory, rows, m, data):
     tr = RunTrace(
         samples=np.array(data.draw(st.lists(st.integers(0, 2**62), min_size=rows, max_size=rows))),
         wall_ms=reals(rows), losses=reals(rows, m), balanced_grad=reals(rows),
-        surrogate_stat=reals(rows), w=reals(rows, m), eta=reals(rows, m), diagnostics={},
+        surrogate_stat=reals(rows), w=reals(rows, m), eta=reals(rows, m),
     )
     lines = write_trace(tr, tmp_path_factory.mktemp("rows") / "t.csv").read_text().split("\n")
     assert lines[0] == ",".join(trace_header(m)) and lines[-1] == ""
