@@ -402,8 +402,8 @@ def check_clip_caps() -> CheckResult:
     """double_clip's steps, measured from outside, obey both branches of its
     clipped mins, ||d theta_t|| <= gamma min(c2, c1 ||X_t w_t||) and ||d eta_t||
     <= gamma min(f2, f1 ||Z_t o w_t||), and every w is on the simplex. A tap on
-    sample_batch copies theta_t and the Z losses (the solver overwrites them),
-    which dual.grad_eta turns into Z_t; ||X_t w_t|| is balanced_grad."""
+    sample_batch copies theta_t and the Z losses as sampled, which dual.grad_eta
+    turns into Z_t; ||X_t w_t|| is balanced_grad."""
     problem = _linear_problem(seed=6, samples=200, dimension=4)
     m = problem.num_objectives
     ctx = dual.DualContext(lam=1.0, lipschitz_g=problems.estimate_lipschitz(problem),

@@ -15,7 +15,7 @@ Four iterations over a MultiTaskProblem, all emitting a RunTrace:
     independent batches so the gram estimator is unbiased.
 
 All four share one outer loop, _mgda_loop, which owns the start state, the
-trace, the surrogate cadence, the sample count (samples_per_step, which
+trace, the surrogate's refresh rule, the sample count (samples_per_step, which
 `drmoo run` also reads to start its longest jobs first), the preference step
 w <- project(w - beta (G w + rho w)) and the divergence check; each solver
 supplies its index streams and a per-step estimator of the parameter
@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dual import DualContext, batch_oracle, chi_weights
+from .dual import DualContext, batch_oracle
 # benchmarks/spans.py wraps these names in this namespace
 from .dual import conjugate_deriv, dual_value, grad_eta, grad_theta  # noqa: F401
 from .metrics import surrogate_stationarity  # noqa: F401
@@ -60,7 +60,7 @@ ROLE_X = 6
 ROLE_JOINT_A = 7
 ROLE_JOINT_B = 8
 
-SURROGATE_EVERY = 10  # full-batch stationarity surrogate cadence, in iterations
+SURROGATE_REFRESHES = 12  # full-batch stationarity surrogate refreshes per run, at most
 
 # steps of indices each stream draws per call, fewer when the held block of
 # all streams would pass DRAW_ELEMENTS int64 indices (8 MB): five seeds of the
@@ -89,8 +89,9 @@ class RunTrace:
     balanced_grad: (T,) norm of the stochastic parameter-gradient matrix
         times w_t, i.e. the step direction magnitude actually used
         (run_double_clip's ||X_t w_t||, which its theta step size clips).
-    surrogate_stat: (T,) full-batch stationarity surrogate, refreshed every
-        SURROGATE_EVERY iterations and carried forward in between.
+    surrogate_stat: (T,) full-batch stationarity surrogate, refreshed at
+        every k-th iteration from 0, k = ceil(T / SURROGATE_REFRESHES), and
+        carried forward in between.
     w: (T, m) preference vector entering the iteration.
     eta: (T, m) dual iterate the logged gradients were evaluated at (the
         solver's own parameterization; run_double_clip stores the rescaled
@@ -227,22 +228,17 @@ def inner_eta_descent(losses, etas, gamma, lam):
         for loss in lane:
             traj.append(eta)
             t = (loss - eta) / lam + 2.0
-            eta -= gamma * (1.0 - 0.5 * (0.0 if t < 0.0 else t))
+            eta -= gamma * (1.0 - (0.0 if t < 0.0 else 0.5 * t))
         last.append(eta)
     return trajs, last
 
 
 def _full_surrogate(problem, ctx, theta, eta_eff, w) -> list:
     """Full-batch G sum_i w^i |eta-grad_i| + ||sum_i w^i theta-grad_i|| of each
-    seed at its (theta, eta_eff) and w. One evaluation's fresh losses and slopes
-    become u and u o l' in place (the stored rows X never change), and the
-    theta-gradients are contracted with w first: one pass over X per seed."""
-    losses, slopes, rows = problem.full_eval(theta)
-    u = chi_weights(ctx.lam, losses, eta_eff, out=losses)
-    slopes *= u
-    eta_grads = 1.0 - 0.5 * u.sum(axis=-1) / problem.num_samples
-    grad = ((w[:, None, :] @ slopes) @ rows)[:, 0] * (0.5 / problem.num_samples)
-    return (ctx.lipschitz_g * np.sum(w * np.abs(eta_grads), axis=1) + _norms(grad)).tolist()
+    seed at its (theta, eta_eff) and w, from batch_oracle on the full evaluation."""
+    _, grads, eta_grads = batch_oracle(ctx.lam, *problem.full_eval(theta), eta_eff)
+    return (ctx.lipschitz_g * np.sum(w * np.abs(eta_grads), axis=1)
+            + _norms(_matvec(grads, w))).tolist()
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # only the finite check reports
@@ -255,8 +251,9 @@ def _mgda_loop(cfg, problem, ctx: DualContext, per_step, step) -> list:
     S seeds and returns per-seed (losses, direction, lr, eta_log, eta_eff,
     eta_next, gram_w): theta moves by -lr * direction, eta becomes eta_next,
     and the preference step is w <- project(w - beta (gram_w + rho w)). The
-    trace logs eta_log and the surrogate is taken at the pre-step theta and
-    the dual scalars eta_eff. A seed whose update goes non-finite ends its trace
+    trace logs eta_log. The surrogate is taken at the pre-step theta and the
+    dual scalars eta_eff on every ceil(T / SURROGATE_REFRESHES)-th step from
+    0 and carried forward. A seed whose update goes non-finite ends its trace
     with that step's row and keeps its last finite state; the others run on.
     """
     m = problem.num_objectives
@@ -272,10 +269,11 @@ def _mgda_loop(cfg, problem, ctx: DualContext, per_step, step) -> list:
     live = np.ones(n_seeds, dtype=bool)
     stepping = range(n_seeds)  # the live seeds
     diverged_at = [None] * n_seeds
+    every = -(-steps // SURROGATE_REFRESHES)
     t0 = time.perf_counter()
     for t in range(steps):
         losses, direction, lr, eta_log, eta_eff, eta_next, gram_w = step(theta, eta, w)
-        if t % SURROGATE_EVERY == 0:
+        if t % every == 0:
             surrogate = _full_surrogate(problem, ctx, theta, eta_eff, w)
         wall_ms[t] = (time.perf_counter() - t0) * 1000.0
         log["losses"][:, t] = losses
@@ -376,10 +374,8 @@ def run_double_clip(cfg: DoubleClipConfig, problem, ctx: DualContext) -> list:
     xbat = _index_steps(cfg.seeds, (ROLE_X,), m, problem.num_samples, cfg.N1, cfg.T)
 
     def step(theta, eta, w):
-        # eta block at eta_t: grad_eta of every objective, from the losses only
-        z_losses = problem.sample_batch(theta, next(zbat))[0]
-        u = chi_weights(ctx.lam, z_losses, scale * eta, out=z_losses)
-        z_vec = scale * (1.0 - np.mean(0.5 * u, axis=-1))
+        # eta block at eta_t: grad_eta of every objective
+        z_vec = scale * batch_oracle(ctx.lam, *problem.sample_batch(theta, next(zbat)), scale * eta)[2]
         zw = z_vec * w
         mu = _clip(cfg.f1, cfg.f2, _norms(zw))
         eta_next = eta - (cfg.gamma * mu)[:, None] * zw

@@ -17,14 +17,17 @@ Writes beside this script:
   and synthesize_wine_csv(seed=0) write (writer_pins), whose bits depend on
   the same kernels.
 
-Run it only for a change that means to move these bytes, and state the
-largest relative change per column in CHANGES.md.
+It prints one line per file it writes: "identical", or for a CSV each
+changed column with its largest relative change, or for another file the
+count of changed lines. Run it only for a change that means to move these
+bytes, and state the largest relative change per column in CHANGES.md.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -90,7 +93,70 @@ def writer_pins(cwd):
             for name, p in paths.items()}
 
 
+def _relative_change(old, new):
+    """|new - old| / |old| of two CSV cells: 0 for equal text or equal values,
+    inf for a changed cell that is not a number or whose old value is 0."""
+    if old == new:
+        return 0.0
+    try:
+        o, n = float(old), float(new)
+    except ValueError:
+        return math.inf
+    if o == n or (math.isnan(o) and math.isnan(n)):
+        return 0.0
+    return abs(n - o) / abs(o) if o else math.inf
+
+
+def describe_change(name, old, new):
+    """How the text new of file name differs from its text old (None when
+    the file is new): "identical", each changed column of a CSV with the same
+    header and row count and its largest relative change, or else the count
+    of changed lines."""
+    if old == new:
+        return "identical"
+    if old is None:
+        return "new file"
+    a, b = old.splitlines(), new.splitlines()
+    if name.endswith(".csv") and len(a) == len(b) and a and a[0] == b[0]:
+        worst = {}
+        for x, y in zip(a[1:], b[1:]):
+            for col, o, n in zip(a[0].split(","), x.split(","), y.split(",")):
+                if (r := _relative_change(o, n)) > 0.0:
+                    worst[col] = max(worst.get(col, 0.0), r)
+        if worst:
+            return ", ".join(f"{col} {r:.3g}" for col, r in worst.items())
+    changed = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+    return f"{changed} of {len(b)} lines changed"
+
+
+def first_difference(name, got, want):
+    """None when got and want have the same lines; else where they first
+    differ: the file, the line number and, for a CSV, each differing column
+    with its golden and its new value."""
+    g, w = got.splitlines(), want.splitlines()
+    if g == w:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(g, w)) if x != y), min(len(g), len(w)))
+    if i == min(len(g), len(w)):
+        return f"{name}: {len(g)} lines, golden has {len(w)}"
+    if name.endswith(".csv") and i > 0:
+        cols = [f"{col} {o} -> {n}"
+                for col, o, n in zip(w[0].split(","), w[i].split(","), g[i].split(",")) if o != n]
+        if cols:
+            return f"{name} line {i + 1}: " + "; ".join(cols)
+    return f"{name} line {i + 1}: golden {w[i]!r}, got {g[i]!r}"
+
+
+def _golden_texts():
+    """{path relative to this directory: text} of every file that main writes."""
+    paths = [HERE / f"pareto_toy.{ext}" for ext in ("csv", "svg", "json")] + [HERE / "runs.json"]
+    paths += sorted((HERE / "runs").glob("*"))
+    return {p.relative_to(HERE).as_posix(): p.read_text(encoding="utf-8")
+            for p in paths if p.is_file()}
+
+
 def main():
+    before = _golden_texts()
     status = cli.main([*ARGV, f"--out-csv={HERE / 'pareto_toy.csv'}",
                        f"--out-svg={HERE / 'pareto_toy.svg'}"])
     if status:
@@ -108,6 +174,10 @@ def main():
         (HERE / "runs" / name).write_text(text, encoding="utf-8", newline="")
     recorded = {**fingerprint(), "writers": pins}
     (HERE / "runs.json").write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
+    after = _golden_texts()
+    for name in sorted(before.keys() | after.keys()):
+        change = describe_change(name, before.get(name), after[name]) if name in after else "removed"
+        print(f"{name}: {change}")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,14 @@ from drmoo.checks import CheckResult
 from drmoo.config import build_solver_config, parse_config
 from drmoo.dual import DualContext
 from drmoo.metrics import window_means
-from drmoo.problems import WINE_ENV, estimate_lipschitz, synthesize_wine_csv, toy_problem
+from drmoo.problems import (
+    WINE_DEFAULT_PATH,
+    WINE_ENV,
+    estimate_lipschitz,
+    resolve_wine_path,
+    synthesize_wine_csv,
+    toy_problem,
+)
 from drmoo.svg import HEIGHT, WIDTH, emit_svg_plot, emit_svg_scatter
 from drmoo.trace import read_trace, write_trace
 
@@ -525,6 +532,22 @@ def _bad_byte_on_line(path, lineno):
     lines = path.read_bytes().splitlines(keepends=True)
     lines[lineno - 1] = lines[lineno - 1][:2] + b"\xb0" + lines[lineno - 1][2:]
     path.write_bytes(b"".join(lines))
+
+
+def test_a_wine_block_without_wine_path_reads_the_default_file(workdir, monkeypatch):
+    monkeypatch.delenv(WINE_ENV, raising=False)
+    (workdir / "data").mkdir()
+    synthesize_wine_csv(workdir / WINE_DEFAULT_PATH, rows=60)
+    assert resolve_wine_path() == WINE_DEFAULT_PATH
+    block = "[run.w]\nproblem = wine\nsolver = mgda\nT = 2\nseeds = 0\n"
+    _write(workdir / "exp.cfg", "output_dir = out\n" + block)
+    assert cli.main(["run", "exp.cfg"]) == 0
+    # the same run as with the path given
+    _write(workdir / "given.cfg", f"output_dir = given\nwine_path = {WINE_DEFAULT_PATH}\n" + block)
+    assert cli.main(["run", "given.cfg"]) == 0
+    got, given = (read_trace(workdir / d / "w_seed0.csv") for d in ("out", "given"))
+    assert len(got["iter"]) == 2
+    assert all(np.array_equal(got[k], given[k]) for k in got if k != "wall_ms")
 
 
 # each file is over 8 KiB with the bad byte past its first 8 KiB, except the

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from drmoo import cli
-from golden.regen import fingerprint, golden_runs, writer_pins
+from golden.regen import fingerprint, first_difference, golden_runs, writer_pins
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-12
@@ -69,7 +69,8 @@ def test_runs_match_the_golden_runs(tmp_path, monkeypatch, capsys):
     recorded = _recorded_fingerprint()
     if recorded == fingerprint():
         for name in sorted(want):  # every trace column but wall_ms, which regen drops
-            assert got[name].splitlines() == want[name].splitlines(), name
+            difference = first_difference(name, got[name], want[name])
+            assert difference is None, difference
         return
     for name in sorted(want):
         pairs = list(zip(got[name].splitlines(), want[name].splitlines()))

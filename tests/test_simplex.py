@@ -44,6 +44,9 @@ def test_validate_preference_flags_violations():
         validate_preference(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         validate_preference(np.array([-0.1, 1.1]))
+    for not_a_vector in ([], [[0.5, 0.5]]):
+        with pytest.raises(ValueError, match="nonempty 1-d vector"):
+            validate_preference(not_a_vector)
 
 
 @given(vectors)

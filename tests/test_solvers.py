@@ -543,7 +543,7 @@ def test_full_surrogate_seeds_match_reference_and_solo_calls(kind):
         # a seed's value does not depend on the seeds beside it
         solo, = _full_surrogate(problem, ctx, theta[s:s + 1], eta[s:s + 1], w[s:s + 1])
         assert solo == got[s]
-    # the evaluation's own arrays are overwritten, never the problem's
+    # the problem's stored arrays never change
     assert len(stored) == (3 if kind == "offset-toy" else 2)
     assert all(np.array_equal(a, b) for a, b in zip(stored, before))
 
@@ -667,22 +667,75 @@ def test_wall_ms_is_the_clock_since_the_start_in_milliseconds(run, make_cfg, mon
     assert next(reads) == 1000.0 + 0.25 * (cfg.T + 1)  # one read at the start, one per step
 
 
+# estimators per step, each a block of m oracle rows
+ESTIMATORS = {run_double_loop: 3, run_double_clip: 1, run_stochastic_mgda: 1, run_modo: 2}
+
+
 @pytest.mark.parametrize("run,make_cfg", ALL_SOLVERS)
 def test_one_oracle_call_per_step_for_all_seeds(run, make_cfg, monkeypatch):
-    shapes = []
+    calls = []
 
     def counted(lam, losses, slopes, rows, etas):
-        shapes.append(etas.shape)
+        calls.append((rows.shape, etas.shape))
         return oracle(lam, losses, slopes, rows, etas)
 
     oracle = solvers.batch_oracle
     monkeypatch.setattr(solvers, "batch_oracle", counted)
     problem = _problem()
-    cfg = make_cfg(seeds=(4, 1, 7))
+    m, cfg = problem.num_objectives, make_cfg(seeds=(4, 1, 7))
     assert len(run(cfg, problem, _ctx(problem))) == 3
-    # one per step; the surrogate contracts its own full evaluation
-    assert len(shapes) == cfg.T
-    assert all(shape[0] == 3 for shape in shapes)
+    # the surrogate's calls get the shared (N, n) features, the steps' their gathered rows
+    full = [etas for rows, etas in calls if rows == (problem.num_samples, problem.dimension)]
+    steps = [etas for rows, etas in calls if len(rows) == 4]
+    assert len(full) + len(steps) == len(calls) == (59 if run is run_double_clip else 34)
+    # one call per step (double_clip: its Z batch, then its X batch), all seeds in one block
+    assert len(steps) == (2 if run is run_double_clip else 1) * cfg.T
+    assert all(etas == (3, ESTIMATORS[run] * m) for etas in steps)
+    # one full-batch call per surrogate refresh
+    assert len(full) == len(range(0, cfg.T, -(-cfg.T // 12)))
+    assert all(etas == (3, m) for etas in full)
+
+
+def _refresh_index(monkeypatch):
+    """Replace the surrogate by a count of its calls: call k gives every seed the value k."""
+    calls = []
+
+    def fake(problem, ctx, theta, eta_eff, w):
+        calls.append(len(calls))
+        return [float(calls[-1])] * len(theta)
+
+    monkeypatch.setattr(solvers, "_full_surrogate", fake)
+    return calls
+
+
+def _assert_refreshes(trace, T):
+    """surrogate_stat[t] is the index of the last refresh at or before t, and
+    the refreshes are rows 0, k, 2k, ... with k = ceil(T / 12)."""
+    rows = range(0, T, -(-T // 12))
+    want = [max(k for k, r in enumerate(rows) if r <= t) for t in range(len(trace))]
+    assert trace.surrogate_stat.tolist() == want
+
+
+@pytest.mark.parametrize("T", [1, 2, 11, 12, 13, 30, 100])
+def test_surrogate_refreshes_at_most_12_times_per_run(T, monkeypatch):
+    calls = _refresh_index(monkeypatch)
+    problem = _problem()
+    traces = run_stochastic_mgda(_bl_cfg(T=T, B=4, seeds=(0, 1)), problem, _ctx(problem))
+    assert len(calls) == len(range(0, T, -(-T // 12))) <= 12
+    for tr in traces:
+        assert len(tr) == T
+        _assert_refreshes(tr, T)
+
+
+def test_diverged_seeds_keep_the_refresh_rows_up_to_their_stop(monkeypatch):
+    # the mgda-seeds divergence case: some seeds stop early, the others run to T
+    calls = _refresh_index(monkeypatch)
+    cfg = _bl_cfg(B=3, seeds=SIX_SEEDS)
+    traces = run_stochastic_mgda(cfg, _one_huge_label_problem(), _ctx(_problem()))
+    assert len(calls) == len(range(0, cfg.T, -(-cfg.T // 12)))
+    assert {tr.diverged_at for tr in traces} - {None} and None in {tr.diverged_at for tr in traces}
+    for tr in traces:
+        _assert_refreshes(tr, cfg.T)
 
 
 # --- rng streams -------------------------------------------------------------
